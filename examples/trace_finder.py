@@ -8,8 +8,8 @@ heap pushes/compactions).
 
 This is the library-level equivalent of the CLI flags::
 
-    tangled-logic find-gtl design.hgr --seeds 16   # no telemetry
-    tangled-logic flow run flow.json --trace out.jsonl --profile
+    tangled-logic detect design.hgr --seeds 16   # no telemetry
+    tangled-logic detect design.hgr --seeds 16 --trace out.jsonl --profile
 
 Run:  python examples/trace_finder.py [--cells N] [--seeds K]
 The checked-in ``examples/finder_trace.jsonl`` was produced by the

@@ -2,8 +2,13 @@
 
 Subcommands:
 
-* ``find-gtl``     — run the tangled-logic finder on a Bookshelf / hgr /
-  edge-list design and print the report.
+* ``detect``       — run the tangled-logic finder on a Bookshelf / hgr /
+  edge-list / ``.nla`` design and print the report.  Without ``--seed`` it
+  is a plain full run (no store is opened).  With a pinned ``--seed`` it
+  answers from the result cache when the exact job is there, else patches
+  a cached base run through the dirty region of the edit (``--base`` names
+  a base design or fingerprint; default: the per-config head pointer in
+  the cache), else runs in full and records the run.
 * ``generate``     — synthesize a workload (planted graph, ISPD-like,
   industrial-like) and write it to disk.
 * ``experiment``   — run one of the paper's table/figure harnesses.
@@ -15,20 +20,15 @@ Subcommands:
   per-shard result stores (``--via-daemon`` dispatches the shards to a
   running daemon as priority-class-``sweep`` jobs instead), and
   ``--aggregate`` publishes per-axis/per-shard statistics as JSON.
-* ``store merge``  — fold result stores into one (e.g. per-shard sweep
-  stores into the main cache), reconciling rows by fingerprint, schema
-  revision and use-count.
+* ``store``        — result-store maintenance: ``stats`` (entries per
+  artifact kind), ``prune --keep N`` (LRU eviction) and ``merge`` (fold
+  stores, e.g. per-shard sweep stores, into one, reconciling rows by
+  fingerprint, schema revision and use-count).
 * ``flow run``     — execute a declared multi-stage flow manifest
   (detect / partition / place / congestion / soft_blocks / resynthesis)
   over one or more designs, with per-stage fingerprint caching.
 * ``diff``         — structural diff of two designs; prints (and
   optionally writes) the :class:`~repro.incremental.NetlistDelta`.
-* ``detect``       — detection with incremental reuse: patch a cached
-  base run through the dirty region of the edit instead of recomputing
-  (``--base`` names a base design or fingerprint; defaults to the
-  per-config head pointer in the cache).
-* ``cache``        — result-cache maintenance: ``stats`` (entries per
-  artifact kind) and ``prune --keep N`` (LRU eviction).
 * ``pack``         — convert a text design file to the binary pack format
   (``.nla``), which loads zero-copy via mmap; with ``--out-dir`` pack a
   whole manifest of designs into an indexed corpus the daemon can mmap.
@@ -39,15 +39,21 @@ Subcommands:
   against an already-known base design.
 * ``status``       — query a running daemon (server stats or one job).
 
+The finder flags of ``detect`` and ``submit`` are one flag group whose
+defaults are :class:`~repro.finder.FinderConfig`'s, so both commands run the
+same job for the same flags; without ``--seed`` a run is unpinned.
+
 Examples::
 
-    tangled-logic find-gtl design.aux --seeds 100 --metric gtl_sd
+    tangled-logic detect design.aux --seeds 100 --metric gtl_sd --out gtls.txt
+    tangled-logic detect edited.aux --base design.aux --seed 1
     tangled-logic generate ispd --scale 0.25 --out bench/
     tangled-logic experiment table1 --scale 0.1
     tangled-logic batch jobs.json --workers 4 --cache-dir .repro-cache
     tangled-logic sweep sweep.json --jsonl points.jsonl
     tangled-logic sweep sweep.json --shards 4 --aggregate stats.json
     tangled-logic store merge .repro-cache .repro-cache/shards/shard-*
+    tangled-logic store prune --cache-dir .repro-cache --keep 1000
     tangled-logic flow run flow.json --cache-dir .repro-cache --workers 4
     tangled-logic flow run flow.json --trace trace.jsonl --profile
     tangled-logic --log-level info batch jobs.json
@@ -84,32 +90,53 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.errors import ReproError
+from repro.errors import FinderError, NetlistError, ReproError
 from repro.finder import FinderConfig, find_tangled_logic
 from repro.io import load_design as _load_design
+from repro.metrics.gtl_score import ScoreContext
+
+DEFAULT_CACHE_DIR = ".repro-cache"
+#: Mirrors repro.server.daemon.DEFAULT_SOCKET without importing the server
+#: stack just to build the parser.
+DEFAULT_SOCKET = "/tmp/repro-server.sock"
 
 
-def _cmd_find_gtl(args: argparse.Namespace) -> int:
-    netlist = _load_design(args.design)
-    config = FinderConfig(
-        num_seeds=args.seeds,
-        metric=args.metric,
-        max_order_length=args.max_order_length,
-        min_gtl_size=args.min_size,
-        workers=args.workers,
-        seed=args.seed,
-    )
-    report = find_tangled_logic(netlist, config)
-    print(report.summary())
-    if args.out:
-        with open(args.out, "w") as handle:
-            for index, gtl in enumerate(report.gtls):
-                names = " ".join(netlist.cell_name(c) for c in sorted(gtl.cells))
-                handle.write(f"GTL {index + 1} size={gtl.size} cut={gtl.cut} "
-                             f"ngtl={gtl.ngtl_score:.4f} gtl_sd={gtl.gtl_sd_score:.4f}\n")
-                handle.write(names + "\n")
-        print(f"wrote {report.num_gtls} GTL(s) to {args.out}")
-    return 0
+#: The finder flag group of ``detect`` and ``submit``: flag ->
+#: (:class:`FinderConfig` field, ``add_argument`` kwargs).  Defaults are the
+#: field's, so a flag left out means the same job on every command.
+_FINDER_FLAGS = {
+    "--seeds": ("num_seeds", dict(type=int, help="m, independent seed runs "
+                                  "(default %(default)s)")),
+    "--metric": ("metric", dict(choices=ScoreContext.VALID_METRICS,
+                                help="prefix-scoring metric (default %(default)s)")),
+    "--max-order-length": ("max_order_length", dict(
+        type=int, help="Z, linear-ordering length cap (default %(default)s = auto)")),
+    "--min-size": ("min_gtl_size", dict(type=int, help="smallest GTL reported "
+                                        "(default %(default)s)")),
+    "--seed": ("seed", dict(type=int, help="RNG seed; a pinned seed makes the run "
+                            "reproducible and cacheable (default: unpinned)")),
+}
+
+
+def _finder_fields(args: argparse.Namespace) -> dict:
+    """The :class:`FinderConfig` fields the finder flag group sets."""
+    return {field: getattr(args, field) for field, _ in _FINDER_FLAGS.values()}
+
+
+def _finder_config(args: argparse.Namespace) -> FinderConfig:
+    """The config a ``detect`` invocation runs."""
+    return FinderConfig(**_finder_fields(args), workers=args.workers)
+
+
+def _write_membership(path: str, netlist, report) -> None:
+    """Write each GTL's header line and member cell names to ``path``."""
+    with open(path, "w") as handle:
+        for index, gtl in enumerate(report.gtls):
+            names = " ".join(netlist.cell_name(c) for c in sorted(gtl.cells))
+            handle.write(f"GTL {index + 1} size={gtl.size} cut={gtl.cut} "
+                         f"ngtl={gtl.ngtl_score:.4f} gtl_sd={gtl.gtl_sd_score:.4f}\n")
+            handle.write(names + "\n")
+    print(f"wrote {report.num_gtls} GTL(s) to {path}")
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -198,12 +225,46 @@ def _make_runner(args: argparse.Namespace, store):
     )
 
 
-def _open_store(args: argparse.Namespace):
-    from repro.service.store import ResultStore
+def _cache_dir(args: argparse.Namespace) -> Optional[str]:
+    """The command's result-store directory (``None`` under ``--no-cache``)."""
+    return None if args.no_cache else (args.cache_dir or DEFAULT_CACHE_DIR)
 
-    if args.no_cache:
-        return None
-    return ResultStore(args.cache_dir or ".repro-cache")
+
+class _CacheSession:
+    """Result-store lifecycle of one CLI command.
+
+    Entering opens the store (``None`` under ``--no-cache``); exiting records
+    its hit/miss line and closes it; :meth:`emit` prints the ``cache:`` line.
+    """
+
+    def __init__(self, args: argparse.Namespace) -> None:
+        self.cache_dir = _cache_dir(args)
+        self.store = None
+        self.line = "cache disabled"
+
+    def __enter__(self):
+        if self.cache_dir is not None:
+            from repro.service.store import ResultStore
+
+            self.store = ResultStore(self.cache_dir)
+        return self.store
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        if self.store is not None:
+            self.line = self.store.stats.summary()
+            self.store.close()
+        return False
+
+    def emit(self) -> None:
+        print(f"cache: {self.line}")
+
+
+def _emit_jsonl(args: argparse.Namespace, rows) -> None:
+    if args.jsonl:
+        from repro.utils.jsonio import write_jsonl
+
+        written = write_jsonl(args.jsonl, rows)
+        print(f"wrote {written} row(s) to {args.jsonl}")
 
 
 class _ObsSession:
@@ -283,26 +344,18 @@ def _run_service_command(args: argparse.Namespace, execute) -> int:
     ``execute(runner)`` returns ``(headers, rows, summary_line, jsonl_rows,
     results)``; the exit code is 0 only when every result is ok.
     """
-    from repro.utils.jsonio import write_jsonl
     from repro.utils.tables import format_table
 
-    store = _open_store(args)
+    cache = _CacheSession(args)
     obs = _ObsSession(args, f"cli.{args.command}")
-    try:
-        with obs, _make_runner(args, store) as runner:
-            headers, rows, summary_line, jsonl_rows, results = execute(runner)
-    finally:
-        cache_line = store.stats.summary() if store else "cache disabled"
-        if store:
-            store.close()
+    with cache as store, obs, _make_runner(args, store) as runner:
+        headers, rows, summary_line, jsonl_rows, results = execute(runner)
 
     print(format_table(headers, rows))
     print(summary_line)
-    print(f"cache: {cache_line}")
+    cache.emit()
     obs.emit()
-    if args.jsonl:
-        written = write_jsonl(args.jsonl, jsonl_rows)
-        print(f"wrote {written} row(s) to {args.jsonl}")
+    _emit_jsonl(args, jsonl_rows)
     return 0 if all(r.ok for r in results) else 1
 
 
@@ -451,7 +504,6 @@ def _cmd_sweep_sharded(args, designs, base, grid, design_paths) -> int:
     """The coordinator path of ``sweep``: ``--shards N`` / ``--via-daemon``."""
     from repro.service.aggregate import point_rows
     from repro.service.coordinator import SweepCoordinator
-    from repro.utils.jsonio import write_jsonl
     from repro.utils.tables import format_table
 
     def progress(event) -> None:
@@ -466,7 +518,7 @@ def _cmd_sweep_sharded(args, designs, base, grid, design_paths) -> int:
 
     coordinator = SweepCoordinator(
         num_shards=args.shards,
-        cache_dir=None if args.no_cache else (args.cache_dir or ".repro-cache"),
+        cache_dir=_cache_dir(args),
         use_cache=not args.no_cache,
         workers=args.workers,
         max_shard_attempts=args.shard_attempts,
@@ -490,10 +542,31 @@ def _cmd_sweep_sharded(args, designs, base, grid, design_paths) -> int:
              if outcome.merge_stats is not None else ""))
     _publish_aggregate(args, outcome)
     obs.emit()
-    if args.jsonl:
-        written = write_jsonl(args.jsonl, point_rows(outcome))
-        print(f"wrote {written} row(s) to {args.jsonl}")
+    _emit_jsonl(args, point_rows(outcome))
     return 0 if all(r.ok for r in outcome.job_results) else 1
+
+
+def _cmd_store_stats(args: argparse.Namespace) -> int:
+    from repro.service.store import ResultStore
+
+    with ResultStore(args.cache_dir or DEFAULT_CACHE_DIR) as store:
+        entries = store.entries()
+        total_runtime = sum(runtime for _, _, runtime in entries)
+        print(f"cache dir: {store.cache_dir}")
+        print(f"{len(entries)} entr(ies), {total_runtime:.1f}s of saved compute")
+        for kind, count in store.kind_counts().items():
+            print(f"  {kind}: {count}")
+    return 0
+
+
+def _cmd_store_prune(args: argparse.Namespace) -> int:
+    from repro.service.store import ResultStore
+
+    with ResultStore(args.cache_dir or DEFAULT_CACHE_DIR) as store:
+        evicted = store.evict_lru(args.keep)
+        print(f"pruned {evicted} entr(ies); {len(store)} kept "
+              f"(LRU, --keep {args.keep})")
+    return 0
 
 
 def _cmd_store_merge(args: argparse.Namespace) -> int:
@@ -515,21 +588,21 @@ def _cmd_store_merge(args: argparse.Namespace) -> int:
 def _cmd_flow_run(args: argparse.Namespace) -> int:
     from repro.flow import flow_from_manifest
     from repro.service.pool import WorkerPool
-    from repro.utils.jsonio import read_json_file, write_jsonl
+    from repro.utils.jsonio import read_json_file
     from repro.utils.tables import format_table
 
     data = read_json_file(args.manifest)
     base_dir = os.path.dirname(os.path.abspath(args.manifest))
     manifest = flow_from_manifest(data, base_dir)
 
-    store = _open_store(args)
+    cache = _CacheSession(args)
     pool = WorkerPool(args.workers) if args.workers > 1 else None
     obs = _ObsSession(args, "cli.flow-run")
     headers = ["design", "stage", "kind", "cache", "time", "summary"]
     rows = []
     jsonl_rows = []
     try:
-        with obs:
+        with cache as store, obs:
             for path in manifest.designs:
                 netlist = _load_design(path)
                 label = os.path.basename(path)
@@ -555,18 +628,13 @@ def _cmd_flow_run(args: argparse.Namespace) -> int:
                     )
                     jsonl_rows.append({"design": label, **result.to_row()})
     finally:
-        cache_line = store.stats.summary() if store else "cache disabled"
-        if store:
-            store.close()
         if pool is not None:
             pool.shutdown()
 
     print(format_table(headers, rows))
-    print(f"cache: {cache_line}")
+    cache.emit()
     obs.emit()
-    if args.jsonl:
-        written = write_jsonl(args.jsonl, jsonl_rows)
-        print(f"wrote {written} row(s) to {args.jsonl}")
+    _emit_jsonl(args, jsonl_rows)
     return 0
 
 
@@ -607,7 +675,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     config = ServerConfig(
         socket_path=args.socket,
-        cache_dir=args.cache_dir or ".repro-cache",
+        cache_dir=args.cache_dir or DEFAULT_CACHE_DIR,
         workers=args.workers,
         max_queue_depth=args.max_queue_depth,
         starvation_limit=args.starvation_limit,
@@ -632,16 +700,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.server import Client
 
-    config = {
-        key: value
-        for key, value in (
-            ("num_seeds", args.seeds),
-            ("metric", args.metric),
-            ("min_gtl_size", args.min_size),
-            ("seed", args.seed),
-        )
-        if value is not None
-    }
     client = Client(args.socket, busy_retries=args.busy_retries)
 
     design = args.design
@@ -674,7 +732,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
     result = client.submit(
         design,
-        config=config,
+        config=_finder_fields(args),
         priority=args.priority,
         label=args.label or os.path.basename(args.design),
         wait=not args.no_wait,
@@ -790,17 +848,28 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
+    config = _finder_config(args)
+    if config.seed is None and args.base:
+        raise FinderError("--base needs a pinned --seed")
+    netlist = _load_design(args.design)
+    obs = _ObsSession(args, "cli.detect")
+    if config.seed is None:
+        # Unpinned: nothing to cache or patch from, so a plain full run.
+        with obs:
+            report = find_tangled_logic(netlist, config)
+        print(report.summary())
+    else:
+        report = _detect_pinned(args, netlist, config, obs)
+    if args.out:
+        _write_membership(args.out, netlist, report)
+    obs.emit()
+    return 0
+
+
+def _detect_pinned(args: argparse.Namespace, netlist, config, obs):
+    """The exact-hit -> patched -> full ladder of a seeded ``detect``."""
     from repro.incremental import detect_with_reuse
 
-    netlist = _load_design(args.design)
-    config = FinderConfig(
-        num_seeds=args.seeds,
-        metric=args.metric,
-        max_order_length=args.max_order_length,
-        min_gtl_size=args.min_size,
-        workers=args.workers,
-        seed=args.seed,
-    )
     base_netlist = None
     base_fingerprint = ""
     if args.base:
@@ -808,53 +877,24 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             base_netlist = _load_design(args.base)
         else:
             base_fingerprint = args.base  # a netlist fingerprint from a prior run
-    store = _open_store(args)
-    obs = _ObsSession(args, "cli.detect")
-    try:
-        with obs:
-            result = detect_with_reuse(
-                netlist,
-                config,
-                store,
-                base=base_netlist,
-                base_fingerprint=base_fingerprint,
-                halo=args.halo,
-                full_threshold=args.full_threshold,
-            )
-    finally:
-        cache_line = store.stats.summary() if store else "cache disabled"
-        if store:
-            store.close()
+    cache = _CacheSession(args)
+    with cache as store, obs:
+        result = detect_with_reuse(
+            netlist,
+            config,
+            store,
+            base=base_netlist,
+            base_fingerprint=base_fingerprint,
+            halo=args.halo,
+            full_threshold=args.full_threshold,
+        )
     print(result.report.summary())
     print(result.summary())
     if result.base_fingerprint:
         print(f"base fingerprint: {result.base_fingerprint[:12]}, "
               f"delta fingerprint: {result.delta_fingerprint[:12]}")
-    print(f"cache: {cache_line}")
-    obs.emit()
-    return 0
-
-
-def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro.service.store import ResultStore
-
-    store = ResultStore(args.cache_dir or ".repro-cache")
-    try:
-        if args.cache_command == "stats":
-            entries = store.entries()
-            total_runtime = sum(runtime for _, _, runtime in entries)
-            print(f"cache dir: {store.cache_dir}")
-            print(f"{len(entries)} entr(ies), "
-                  f"{total_runtime:.1f}s of saved compute")
-            for kind, count in store.kind_counts().items():
-                print(f"  {kind}: {count}")
-            return 0
-        evicted = store.evict_lru(args.keep)
-        print(f"pruned {evicted} entr(ies); {len(store)} kept "
-              f"(LRU, --keep {args.keep})")
-        return 0
-    finally:
-        store.close()
+    cache.emit()
+    return result.report
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -870,6 +910,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
         rng = ensure_rng(args.seed)
         movable = netlist.movable_cells()
+        if not movable:
+            raise NetlistError(
+                f"{args.design} has no movable cells; the Rent estimator "
+                "needs at least one seed cell"
+            )
         estimates = []
         for _ in range(min(4, len(movable))):
             seed_cell = rng.choice(movable)
@@ -886,12 +931,34 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_obs_args(sub: argparse.ArgumentParser) -> None:
-    """Telemetry flags shared by batch/sweep/flow-run."""
-    sub.add_argument("--trace", default="", metavar="PATH",
-                     help="write a JSONL span trace of the run here")
-    sub.add_argument("--profile", action="store_true",
-                     help="print a span/counter profile after the run")
+DESIGN_HELP = ".aux (Bookshelf), .hgr, .nla (pack), or edge-list file"
+
+#: Flags several subcommands share, declared once: flag -> add_argument kwargs.
+_SHARED_OPTIONS = {
+    "--workers": dict(type=int, default=1, help="parallel worker processes"),
+    "--cache-dir": dict(default="", help=f"result cache directory (default {DEFAULT_CACHE_DIR})"),
+    "--no-cache": dict(action="store_true", help="bypass the result cache entirely"),
+    "--quiet": dict(action="store_true", help="suppress progress events on stderr"),
+    "--jsonl": dict(default="", help="write per-row results here"),
+    "--socket": dict(default=DEFAULT_SOCKET, help="daemon Unix socket"),
+    "--trace": dict(default="", metavar="PATH", help="write a JSONL span trace of the run here"),
+    "--profile": dict(action="store_true", help="print a span/counter profile after the run"),
+}
+#: The shared flags of the store-backed runners (batch, sweep, flow run).
+_RUNNER_OPTIONS = ("--workers", "--cache-dir", "--no-cache", "--jsonl", "--quiet",
+                   "--trace", "--profile")
+
+
+def _add_options(sub: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        sub.add_argument(flag, **_SHARED_OPTIONS[flag])
+
+
+def _add_finder_args(sub: argparse.ArgumentParser) -> None:
+    defaults = FinderConfig()
+    group = sub.add_argument_group("finder options (defaults: FinderConfig)")
+    for flag, (field, kwargs) in _FINDER_FLAGS.items():
+        group.add_argument(flag, dest=field, default=getattr(defaults, field), **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -909,16 +976,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    find = sub.add_parser("find-gtl", help="run the finder on a design file")
-    find.add_argument("design", help=".aux (Bookshelf), .hgr, or edge-list file")
-    find.add_argument("--seeds", type=int, default=100)
-    find.add_argument("--metric", choices=("gtl_s", "ngtl_s", "gtl_sd"), default="gtl_sd")
-    find.add_argument("--max-order-length", type=int, default=0)
-    find.add_argument("--min-size", type=int, default=30)
-    find.add_argument("--workers", type=int, default=1)
-    find.add_argument("--seed", type=int, default=None)
-    find.add_argument("--out", default="", help="write found GTL membership here")
-    find.set_defaults(func=_cmd_find_gtl)
+    detect = sub.add_parser(
+        "detect",
+        help="run the finder on a design; with a pinned --seed, answer from "
+        "the result cache or patch a cached base run",
+    )
+    detect.add_argument("design", help=DESIGN_HELP)
+    _add_finder_args(detect)
+    detect.add_argument("--out", default="", help="write found GTL membership here")
+    detect.add_argument("--base", default="",
+                        help="base to patch from (needs --seed): a design "
+                        "file, or the netlist fingerprint of a prior cached "
+                        "run (default: the per-config head pointer)")
+    detect.add_argument("--halo", type=int, default=0,
+                        help="extra dirty-region hops (conservatism knob; "
+                        "never changes results)")
+    detect.add_argument("--full-threshold", type=float, default=0.25,
+                        help="dirty fraction above which a full recompute "
+                        "is cheaper than patching")
+    _add_options(detect, "--workers", "--cache-dir", "--no-cache", "--trace", "--profile")
+    detect.set_defaults(func=_cmd_detect)
 
     gen = sub.add_parser("generate", help="synthesize a workload")
     gen.add_argument("kind", choices=("planted", "ispd", "industrial"))
@@ -949,31 +1026,16 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--csv", default="", help="write figure series to CSV")
     exp.set_defaults(func=_cmd_experiment)
 
-    # Mirrors repro.server.daemon.DEFAULT_SOCKET without importing the
-    # server stack just to build the parser.
-    DEFAULT_SOCKET = "/tmp/repro-server.sock"
-
-    service_parsers = {}
     for name, func, help_text in (
         ("batch", _cmd_batch, "run a manifest of detection jobs via the service"),
         ("sweep", _cmd_sweep, "run a parameter sweep with job deduplication"),
     ):
         svc = sub.add_parser(name, help=help_text)
         svc.add_argument("manifest", help="JSON manifest file")
-        svc.add_argument("--workers", type=int, default=1,
-                         help="parallel seed trials per job")
-        svc.add_argument("--cache-dir", default="",
-                         help="result cache directory (default .repro-cache)")
-        svc.add_argument("--no-cache", action="store_true",
-                         help="bypass the result cache entirely")
-        svc.add_argument("--jsonl", default="", help="write per-job results here")
-        svc.add_argument("--quiet", action="store_true",
-                         help="suppress per-job progress on stderr")
-        _add_obs_args(svc)
+        _add_options(svc, *_RUNNER_OPTIONS)
         svc.set_defaults(func=func)
-        service_parsers[name] = svc
 
-    sweep_p = service_parsers["sweep"]
+    sweep_p = sub.choices["sweep"]
     sweep_p.add_argument("--shards", type=int, default=1,
                          help="split the deduplicated plan into N shards "
                          "executed by parallel worker processes over "
@@ -984,14 +1046,23 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--via-daemon", action="store_true",
                          help="dispatch shards as priority-class-sweep jobs "
                          "to a running daemon instead of local processes")
-    sweep_p.add_argument("--socket", default=DEFAULT_SOCKET,
-                         help="daemon socket for --via-daemon")
+    _add_options(sweep_p, "--socket")
     sweep_p.add_argument("--aggregate", default="",
                          help="write aggregate sweep stats (per-axis "
                          "summaries, per-shard wall-clock) as JSON here")
 
     store_p = sub.add_parser("store", help="result-store maintenance")
     store_sub = store_p.add_subparsers(dest="store_command", required=True)
+    store_stats = store_sub.add_parser("stats", help="entry counts per artifact kind")
+    _add_options(store_stats, "--cache-dir")
+    store_stats.set_defaults(func=_cmd_store_stats)
+    store_prune = store_sub.add_parser(
+        "prune", help="evict all but the N most recently used entries"
+    )
+    store_prune.add_argument("--keep", type=int, required=True,
+                             help="entries to keep (LRU order)")
+    _add_options(store_prune, "--cache-dir")
+    store_prune.set_defaults(func=_cmd_store_prune)
     store_merge = store_sub.add_parser(
         "merge",
         help="merge result stores row-by-row (e.g. shard stores into the "
@@ -1009,16 +1080,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="execute a flow manifest with per-stage caching"
     )
     flow_run.add_argument("manifest", help="JSON flow manifest file")
-    flow_run.add_argument("--workers", type=int, default=1,
-                          help="parallel seed trials inside detection stages")
-    flow_run.add_argument("--cache-dir", default="",
-                          help="result cache directory (default .repro-cache)")
-    flow_run.add_argument("--no-cache", action="store_true",
-                          help="bypass the result cache entirely")
-    flow_run.add_argument("--jsonl", default="", help="write per-stage results here")
-    flow_run.add_argument("--quiet", action="store_true",
-                          help="suppress per-stage progress on stderr")
-    _add_obs_args(flow_run)
+    _add_options(flow_run, *_RUNNER_OPTIONS)
     flow_run.set_defaults(func=_cmd_flow_run)
 
     diff = sub.add_parser(
@@ -1029,53 +1091,6 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument("--json", default="",
                       help="write the delta (NetlistDelta JSON) here")
     diff.set_defaults(func=_cmd_diff)
-
-    detect = sub.add_parser(
-        "detect",
-        help="detection with incremental reuse (patch a cached base run)",
-    )
-    detect.add_argument("design", help=".aux (Bookshelf), .hgr, or edge-list file")
-    detect.add_argument("--base", default="",
-                        help="base to patch from: a design file, or the "
-                        "netlist fingerprint of a prior cached run "
-                        "(default: the per-config head pointer)")
-    detect.add_argument("--halo", type=int, default=0,
-                        help="extra dirty-region hops (conservatism knob; "
-                        "never changes results)")
-    detect.add_argument("--full-threshold", type=float, default=0.25,
-                        help="dirty fraction above which a full recompute "
-                        "is cheaper than patching")
-    detect.add_argument("--seeds", type=int, default=100, dest="seeds")
-    detect.add_argument("--metric", choices=("gtl_s", "ngtl_s", "gtl_sd"),
-                        default="gtl_sd")
-    detect.add_argument("--max-order-length", type=int, default=0)
-    detect.add_argument("--min-size", type=int, default=30)
-    detect.add_argument("--workers", type=int, default=1)
-    detect.add_argument("--seed", type=int, default=0,
-                        help="RNG seed (incremental reuse requires one)")
-    detect.add_argument("--cache-dir", default="",
-                        help="result cache directory (default .repro-cache)")
-    detect.add_argument("--no-cache", action="store_true",
-                        help="bypass the result cache (forces a full run)")
-    _add_obs_args(detect)
-    detect.set_defaults(func=_cmd_detect)
-
-    cache = sub.add_parser("cache", help="inspect or prune the result cache")
-    cache_sub = cache.add_subparsers(dest="cache_command", required=True)
-    cache_stats = cache_sub.add_parser(
-        "stats", help="entry counts per artifact kind"
-    )
-    cache_stats.add_argument("--cache-dir", default="",
-                             help="result cache directory (default .repro-cache)")
-    cache_stats.set_defaults(func=_cmd_cache)
-    cache_prune = cache_sub.add_parser(
-        "prune", help="evict all but the N most recently used entries"
-    )
-    cache_prune.add_argument("--keep", type=int, required=True,
-                             help="entries to keep (LRU order)")
-    cache_prune.add_argument("--cache-dir", default="",
-                             help="result cache directory (default .repro-cache)")
-    cache_prune.set_defaults(func=_cmd_cache)
 
     pack = sub.add_parser(
         "pack", help="convert a design file to the binary pack format (.nla)"
@@ -1101,12 +1116,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve", help="start the long-lived detection daemon"
     )
-    serve.add_argument("--socket", default=DEFAULT_SOCKET,
-                       help="Unix socket to listen on")
-    serve.add_argument("--workers", type=int, default=1,
-                       help="worker processes in the shared pool")
-    serve.add_argument("--cache-dir", default="",
-                       help="result cache directory (default .repro-cache)")
+    _add_options(serve, "--socket", "--workers", "--cache-dir", "--trace", "--profile")
     serve.add_argument("--max-queue-depth", type=int, default=64,
                        help="queued jobs admitted before backpressure")
     serve.add_argument("--starvation-limit", type=int, default=8,
@@ -1115,22 +1125,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="designs kept loaded in the LRU")
     serve.add_argument("--pack-index", default="",
                        help="pre-packed corpus directory (see `pack --out-dir`)")
-    _add_obs_args(serve)
     serve.set_defaults(func=_cmd_serve)
 
     submit = sub.add_parser(
         "submit", help="submit a detection job to a running daemon"
     )
-    submit.add_argument("design", help=".aux (Bookshelf), .hgr, or edge-list file")
-    submit.add_argument("--socket", default=DEFAULT_SOCKET,
-                        help="daemon socket to connect to")
-    submit.add_argument("--seeds", type=int, default=None, dest="seeds",
-                        help="finder num_seeds")
-    submit.add_argument("--metric", choices=("gtl_s", "ngtl_s", "gtl_sd"),
-                        default=None)
-    submit.add_argument("--min-size", type=int, default=None)
-    submit.add_argument("--seed", type=int, default=None,
-                        help="RNG seed (pinned seeds make the job cacheable)")
+    submit.add_argument("design", help=DESIGN_HELP)
+    _add_finder_args(submit)
+    _add_options(submit, "--socket", "--quiet")
     submit.add_argument("--priority", choices=("interactive", "batch", "sweep"),
                         default="batch")
     submit.add_argument("--label", default="")
@@ -1142,15 +1144,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="enqueue and print the job id instead of streaming")
     submit.add_argument("--busy-retries", type=int, default=3,
                         help="automatic retries after a backpressure rejection")
-    submit.add_argument("--quiet", action="store_true",
-                        help="suppress lifecycle events on stderr")
     submit.set_defaults(func=_cmd_submit)
 
     status = sub.add_parser("status", help="query a running daemon")
     status.add_argument("job_id", nargs="?", default="",
                         help="job id to inspect (default: server-level stats)")
-    status.add_argument("--socket", default=DEFAULT_SOCKET,
-                        help="daemon socket to connect to")
+    _add_options(status, "--socket")
     status.add_argument("--json", action="store_true",
                         help="print the raw status response as JSON")
     status.add_argument("--group", default="",
@@ -1164,7 +1163,7 @@ def build_parser() -> argparse.ArgumentParser:
     status.set_defaults(func=_cmd_status)
 
     stats = sub.add_parser("stats", help="profile a design file")
-    stats.add_argument("design", help=".aux (Bookshelf), .hgr, or edge-list file")
+    stats.add_argument("design", help=DESIGN_HELP)
     stats.add_argument("--rent", action="store_true", help="estimate the Rent exponent")
     stats.add_argument("--seed", type=int, default=0)
     stats.set_defaults(func=_cmd_stats)

@@ -24,7 +24,7 @@ def test_parser_requires_command():
 
 def test_find_gtl_on_hgr(planted_hgr, capsys):
     path, truth = planted_hgr
-    code = main(["find-gtl", path, "--seeds", "12", "--seed", "3"])
+    code = main(["detect", path, "--no-cache", "--seeds", "12", "--seed", "3"])
     assert code == 0
     output = capsys.readouterr().out
     assert "GTL" in output
@@ -34,7 +34,7 @@ def test_find_gtl_on_hgr(planted_hgr, capsys):
 def test_find_gtl_writes_output(planted_hgr, tmp_path, capsys):
     path, _ = planted_hgr
     out = str(tmp_path / "gtls.txt")
-    code = main(["find-gtl", path, "--seeds", "12", "--seed", "3", "--out", out])
+    code = main(["detect", path, "--no-cache", "--seeds", "12", "--seed", "3", "--out", out])
     assert code == 0
     assert os.path.exists(out)
     assert "GTL 1" in open(out).read()
@@ -44,7 +44,7 @@ def test_find_gtl_on_edgelist(tmp_path, capsys):
     edges = tmp_path / "g.edges"
     lines = [f"a{i} a{i + 1}" for i in range(40)]
     edges.write_text("\n".join(lines))
-    code = main(["find-gtl", str(edges), "--seeds", "4", "--seed", "1"])
+    code = main(["detect", str(edges), "--no-cache", "--seeds", "4", "--seed", "1"])
     assert code == 0
 
 
@@ -70,7 +70,7 @@ def test_generate_then_find(tmp_path, capsys):
     assert main(["generate", "planted", "--cells", "800", "--gtl-sizes", "60",
                  "--seed", "4", "--out", out]) == 0
     aux = os.path.join(out, "planted.aux")
-    assert main(["find-gtl", aux, "--seeds", "8", "--seed", "5"]) == 0
+    assert main(["detect", aux, "--no-cache", "--seeds", "8", "--seed", "5"]) == 0
     output = capsys.readouterr().out
     assert "GTL" in output
 
@@ -196,13 +196,56 @@ def test_batch_rejects_bad_manifest(tmp_path, capsys):
 def test_cli_reports_repro_errors(tmp_path, capsys):
     bad = tmp_path / "bad.hgr"
     bad.write_text("bogus header\n")
-    code = main(["find-gtl", str(bad)])
+    code = main(["detect", str(bad)])
     assert code == 2
     assert "error" in capsys.readouterr().err
 
 
+def test_finder_flags_share_finder_config_defaults():
+    from repro.cli import _finder_config, _finder_fields
+    from repro.finder import FinderConfig
+    from repro.service.fingerprint import job_fingerprint
+
+    parser = build_parser()
+    assert _finder_config(parser.parse_args(["detect", "x.aux"])) == FinderConfig()
+    submitted = _finder_fields(parser.parse_args(["submit", "x.aux"]))
+    assert FinderConfig(**submitted) == FinderConfig()
+
+    netlist, _ = planted_gtl_graph(200, [30], seed=1)
+    args = parser.parse_args(["detect", "x.aux", "--seed", "1", "--seeds", "16"])
+    assert job_fingerprint(netlist, _finder_config(args)) == job_fingerprint(
+        netlist, FinderConfig(num_seeds=16, seed=1)
+    )
+
+
+def test_unpinned_detect_opens_no_store(planted_hgr, tmp_path, capsys):
+    path, _ = planted_hgr
+    cache = tmp_path / "cache"
+    assert main(["detect", path, "--seeds", "4", "--cache-dir", str(cache)]) == 0
+    assert "GTL" in capsys.readouterr().out
+    assert not cache.exists()
+    assert main(["detect", path, "--base", path, "--seeds", "4"]) == 2
+    assert "--base needs a pinned --seed" in capsys.readouterr().err
+
+
+def test_stats_rent_without_movable_cells_is_a_repro_error(tmp_path, capsys):
+    from repro.io.bookshelf import write_bookshelf
+    from repro.netlist import NetlistBuilder
+
+    builder = NetlistBuilder()
+    for index in range(6):
+        builder.add_cell(f"p{index}", fixed=True)
+    for index in range(5):
+        builder.add_net(f"n{index}", [index, index + 1])
+    aux = write_bookshelf(builder.build(), str(tmp_path / "fixed"), "fixed")
+    assert main(["stats", aux, "--rent"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "no movable cells" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 # ----------------------------------------------------------------------
-# diff / detect / cache (incremental detection surface)
+# diff / detect / store (incremental detection surface)
 # ----------------------------------------------------------------------
 def test_cli_diff_detect_cache_roundtrip(tmp_path, capsys):
     import json
@@ -236,10 +279,10 @@ def test_cli_diff_detect_cache_roundtrip(tmp_path, capsys):
     assert "incremental:" in out and "seed(s) re-run" in out
     assert "base fingerprint:" in out
 
-    assert main(["cache", "stats", "--cache-dir", cache]) == 0
+    assert main(["store", "stats", "--cache-dir", cache]) == 0
     out = capsys.readouterr().out
     assert "finder_trace" in out and "incremental_head" in out
-    assert main(["cache", "prune", "--keep", "1", "--cache-dir", cache]) == 0
+    assert main(["store", "prune", "--keep", "1", "--cache-dir", cache]) == 0
     assert "pruned" in capsys.readouterr().out
 
 

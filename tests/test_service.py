@@ -413,7 +413,7 @@ def test_rent_fallback_is_named_constant_and_flagged(small_report):
 # Experiments cache opt-in
 # ----------------------------------------------------------------------
 def test_experiments_detect_uses_cache_dir(tmp_path, monkeypatch, small):
-    from repro.experiments.common import CACHE_ENV_VAR, detect
+    from repro.flow import CACHE_ENV_VAR, detect
 
     netlist, _ = small
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
@@ -425,7 +425,7 @@ def test_experiments_detect_uses_cache_dir(tmp_path, monkeypatch, small):
 
 
 def test_experiments_detect_without_cache_dir(monkeypatch, small):
-    from repro.experiments.common import CACHE_ENV_VAR, detect
+    from repro.flow import CACHE_ENV_VAR, detect
 
     netlist, _ = small
     monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
