@@ -28,6 +28,7 @@ from _record import record
 
 from repro.generators.random_gtl import planted_gtl_graph
 from repro.io.hgr import write_hgr
+from repro.obs.metrics import counter_values
 from repro.server import Client, ServerConfig, ServerDaemon
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
@@ -64,7 +65,7 @@ def test_server_cold_warm_and_priorities(tmp_path):
         cold_s = time.perf_counter() - start
         assert cold["cached"] is False
 
-        pool_batches = daemon.pool.stats.batches
+        pool_batches = daemon.pool.metrics.counter("pool.batches").value
         warm_samples = []
         for _ in range(WARM_REPEATS):
             start = time.perf_counter()
@@ -77,8 +78,9 @@ def test_server_cold_warm_and_priorities(tmp_path):
         warm_s = statistics.median(warm_samples)
         # Warm requests never reach the pool (no process involvement) and
         # never enter the queue.
-        assert daemon.pool.stats.batches == pool_batches
-        assert daemon.counters["warm_hits"] == WARM_REPEATS
+        counts = counter_values(client.status()["metrics"])
+        assert counts["pool.batches"] == pool_batches
+        assert counts["server.warm_hits"] == WARM_REPEATS
 
         # Priority burst: queue everything with the scheduler busy, then
         # compare per-class queue waits.
@@ -146,7 +148,7 @@ def test_server_cold_warm_and_priorities(tmp_path):
             "warm_budget_seconds": WARM_BUDGET_S,
             "burst_per_class": BURST_PER_CLASS,
             "queue_wait_seconds": waits,
-            "counters": status["counters"],
+            "metrics": status["metrics"],
             "queue": status["queue"],
         },
         smoke=SMOKE,

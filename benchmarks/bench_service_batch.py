@@ -51,10 +51,10 @@ def test_service_batch_cold_vs_warm(benchmark, once, tmp_path):
 
     with ResultStore(str(tmp_path / "cache")) as store:
         cold_time = _batch(jobs, store)
-        cold_stats = (store.stats.hits, store.stats.misses)
+        cold_hits = store.metrics.counter("store.hits").value
 
         warm_time = benchmark.pedantic(_batch, args=(jobs, store), **once)
-        warm_hits = store.stats.hits - cold_stats[0]
+        warm_hits = store.metrics.counter("store.hits").value - cold_hits
         hit_rate = warm_hits / len(jobs)
 
     print(

@@ -16,7 +16,7 @@ Measures the three transport layers introduced with the binary pack format
   shared segment, so their private footprint stays flat in worker count,
   while every pickle worker materializes its own full replica.
 * **Shipped bytes** — descriptor size vs pickled-payload size per context
-  shipment (``PoolStats.context_bytes``).
+  shipment (the pool's ``pool.context_bytes`` counter).
 
 Every measured run must produce a detection report bit-identical to the
 serial parsed-text baseline — across pickle/shm transports *and* across
@@ -41,6 +41,7 @@ from repro.generators.industrial import IndustrialSpec, generate_industrial
 from repro.io.binfmt import load_packed, packed_fingerprint, write_packed
 from repro.io.hgr import read_hgr, write_hgr
 from repro.obs import RunReport, trace
+from repro.obs.metrics import counter_values
 from repro.service.fingerprint import fingerprint_netlist
 from repro.service.pool import PICKLE_TRANSPORT_ENV, WorkerPool
 
@@ -124,7 +125,7 @@ def _measure_pool(netlist, workers, serial_report):
             start = time.perf_counter()
             report = TangledLogicFinder(netlist, config).run(pool=pool)
             run_seconds = time.perf_counter() - start
-            stats = pool.stats
+            counts = counter_values(pool.metrics.snapshot())
         run_report = RunReport.from_tracer()
     finally:
         trace.disable()
@@ -135,12 +136,12 @@ def _measure_pool(netlist, workers, serial_report):
     return {
         "workers": workers,
         "run_s": round(run_seconds, 4),
-        "context_shipments": stats.context_shipments,
+        "context_shipments": counts["pool.context_shipments"],
         "context_bytes_per_shipment": (
-            stats.context_bytes // max(stats.context_shipments, 1)
+            counts["pool.context_bytes"] // max(counts["pool.context_shipments"], 1)
         ),
-        "shm_segments": stats.shm_segments,
-        "shm_bytes": stats.shm_bytes,
+        "shm_segments": counts["pool.shm_segments"],
+        "shm_bytes": counts["pool.shm_bytes"],
         "worker_private_kb_max": round(max(private), 1),
         "worker_private_kb_sum": round(sum(private), 1),
         "worker_maxrss_kb_max": round(max(maxrss), 1),

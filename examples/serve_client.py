@@ -28,6 +28,7 @@ import time
 
 from repro.generators import planted_gtl_graph
 from repro.io.hgr import write_hgr
+from repro.obs.metrics import counter_values
 from repro.server import Client, ServerConfig, ServerDaemon
 
 
@@ -107,11 +108,12 @@ def main() -> None:
             print(f"   {row['stage']}: cached={row['cached']} "
                   f"({row['runtime_seconds']:.3f}s)")
 
-        status = client.status()
+        counts = counter_values(client.status()["metrics"])
+        done = sum(v for k, v in counts.items() if k.startswith("server.done."))
+        lookups = counts["store.hits"] + counts["store.misses"]
         print(
-            f"\nstatus: {status['counters']['done']} done, "
-            f"{status['counters']['warm_hits']} warm hit(s), "
-            f"store hit rate {status['store']['hit_rate']:.0%}"
+            f"\nstatus: {done} done, {counts['server.warm_hits']} warm hit(s), "
+            f"store hit rate {counts['store.hits'] / max(lookups, 1):.0%}"
         )
 
         client.shutdown(drain=True)

@@ -251,7 +251,7 @@ class _CacheSession:
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         if self.store is not None:
-            self.line = self.store.stats.summary()
+            self.line = self.store.summary()
             self.store.close()
         return False
 
@@ -784,8 +784,10 @@ def _cmd_status(args: argparse.Namespace) -> int:
         if job.get("error"):
             print(f"  error: {job['error']}")
         return 0
+    from repro.obs.metrics import counter_values
+
     queue = status["queue"]
-    store = status["store"]
+    count = counter_values(status["metrics"])
     print(f"daemon pid {status['pid']}, up {status['uptime_s']:.0f}s, "
           f"{status['workers']} worker(s)")
     depths = queue.get("depths", {})
@@ -795,24 +797,28 @@ def _cmd_status(args: argparse.Namespace) -> int:
     )
     print(
         f"queue: {queue['depth']}/{queue['max_depth']} queued "
-        f"({per_class}), {queue['submitted']} submitted, "
-        f"{queue['rejected']} rejected, {queue['cancelled']} cancelled"
+        f"({per_class}), {count['queue.submitted']} submitted, "
+        f"{count['queue.rejected']} rejected, "
+        f"{count['queue.cancelled']} cancelled"
     )
+    lookups = count["store.hits"] + count["store.misses"]
+    hit_rate = count["store.hits"] / lookups if lookups else 0.0
     print(
-        f"store: {store['entries']} entries, {store['hits']} hit(s) / "
-        f"{store['misses']} miss(es) ({store['hit_rate']:.0%}), "
-        f"{store['puts']} put(s)"
+        f"store: {status['store']['entries']} entries, "
+        f"{count['store.hits']} hit(s) / {count['store.misses']} miss(es) "
+        f"({hit_rate:.0%}), {count['store.puts']} put(s)"
     )
-    counters = status["counters"]
+    done = sum(v for k, v in count.items() if k.startswith("server.done."))
     print(
-        f"served: {counters['done']} done, {counters['failed']} failed, "
-        f"{counters['warm_hits']} warm hit(s), "
-        f"{counters['requests']} request(s)"
+        f"served: {done} done, {count['server.failed']} failed, "
+        f"{count['server.warm_hits']} warm hit(s), "
+        f"{count['server.requests']} request(s)"
     )
     designs = status["designs"]
     print(
         f"designs: {designs['loaded']}/{designs['max_designs']} loaded, "
-        f"{designs['hits']} hit(s), {designs['pack_loads']} pack load(s)"
+        f"{count['designs.hits']} hit(s), "
+        f"{count['designs.pack_loads']} pack load(s)"
     )
     if status["jobs"]:
         print(f"recent jobs{f' (group {args.group})' if args.group else ''}:")

@@ -223,6 +223,30 @@ def reduce_outcomes(
     return gtls, global_rent, len(candidates), orderings, rent_fallback
 
 
+def run_seed_jobs(
+    netlist: Netlist,
+    config: FinderConfig,
+    jobs: Sequence[Tuple[int, int]],
+    pool: Optional["WorkerPool"] = None,
+    pool_key: Optional[str] = None,
+) -> List[_SeedOutcome]:
+    """Run ``(seed_cell, rng_seed)`` jobs; outcomes in job order.
+
+    On ``pool`` when given; otherwise on an ephemeral pool when
+    ``config.workers > 1`` and there is more than one job; else serially.
+    """
+    if pool is not None:
+        return pool.run_seed_jobs(netlist, config, jobs, key=pool_key)
+    if config.workers > 1 and len(jobs) > 1:
+        from repro.service.pool import WorkerPool
+
+        # The fixed key skips content hashing: the pool lives for exactly
+        # one (netlist, config) context, so no collision is possible.
+        with WorkerPool(min(config.workers, len(jobs))) as ephemeral:
+            return ephemeral.run_seed_jobs(netlist, config, jobs, key="single-run")
+    return _process_batch(netlist, config, jobs)
+
+
 class TangledLogicFinder:
     """Finds all groups of tangled logic in a netlist.
 
@@ -264,16 +288,7 @@ class TangledLogicFinder:
             "finder.run", seeds=config.num_seeds
         ):
             jobs = plan_seed_jobs(self.netlist, config)
-
-            if pool is not None:
-                outcomes = pool.run_seed_jobs(
-                    self.netlist, config, jobs, key=pool_key
-                )
-            elif config.workers > 1 and len(jobs) > 1:
-                outcomes = self._run_parallel(jobs)
-            else:
-                outcomes = _process_batch(self.netlist, config, jobs)
-
+            outcomes = run_seed_jobs(self.netlist, config, jobs, pool, pool_key)
             self.last_jobs = list(jobs)
             self.last_outcomes = list(outcomes)
             gtls, global_rent, num_candidates, orderings, rent_fallback = (
@@ -289,21 +304,6 @@ class TangledLogicFinder:
             runtime_seconds=timer.elapsed,
             rent_fallback=rent_fallback,
         )
-
-    # ------------------------------------------------------------------
-    def _run_parallel(self, jobs: List[Tuple[int, int]]) -> List[_SeedOutcome]:
-        """One-shot parallel run on an ephemeral service pool.
-
-        The fixed key skips content hashing: the pool lives for exactly one
-        ``(netlist, config)`` context, so no collision is possible.
-        """
-        from repro.service.pool import WorkerPool
-
-        workers = min(self.config.workers, len(jobs))
-        with WorkerPool(workers) as pool:
-            return pool.run_seed_jobs(
-                self.netlist, self.config, jobs, key="single-run"
-            )
 
 
 def find_tangled_logic(

@@ -18,7 +18,7 @@ import logging
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.errors import FlowError, ReproError, ServiceError
+from repro.errors import FlowError, ServiceError
 from repro.flow.context import FlowContext
 from repro.flow.stage import Stage, StageResult
 from repro.netlist.hypergraph import Netlist
@@ -206,26 +206,16 @@ class Flow:
 
     # ------------------------------------------------------------------
     def _lookup(self, store, stage, fingerprint, ctx, label):
-        """Cache lookup; degrades to recomputation on any store/codec issue."""
+        """Cache lookup; degrades to recomputation on any store/codec failure
+        (a payload that no longer decodes is dropped by the store)."""
         try:
-            payload = store.get_payload(fingerprint, kind=stage.kind)
+            return store.get_payload(
+                fingerprint,
+                kind=stage.kind,
+                decode=lambda payload: stage.decode_artifact(payload, ctx),
+            )
         except ServiceError as error:
             logger.warning("cache lookup for stage %s failed: %s", label, error)
-            return None
-        if payload is None:
-            return None
-        try:
-            return stage.decode_artifact(payload, ctx)
-        except ReproError as error:
-            # Structurally valid JSON that no longer decodes (artifact codec
-            # skew): drop the row and recompute.
-            logger.warning(
-                "stale cached artifact for stage %s, recomputing: %s", label, error
-            )
-            try:
-                store.demote_hit(fingerprint)
-            except ServiceError:
-                pass
             return None
 
     def _record(self, store, stage, fingerprint, artifact, elapsed, label):

@@ -160,9 +160,8 @@ def dirty_region(
         endpoints = delta_endpoint_cells(new, delta)
         cells = expand_frontier(new, endpoints, hops, backend=backend)
         fraction = len(cells) / new.num_cells if new.num_cells else 0.0
-        if trace.enabled():
-            trace.counter("incremental.dirty_cells").add(len(cells))
-            trace.gauge("incremental.dirty_fraction").set(fraction)
+        trace.counter("incremental.dirty_cells").add(len(cells))
+        trace.gauge("incremental.dirty_fraction").set(fraction)
     return DirtyRegion(cells=frozenset(cells), fraction=fraction, hops=hops)
 
 

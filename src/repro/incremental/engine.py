@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ServiceError
@@ -51,10 +51,10 @@ from repro.finder.candidate import CandidateGTL
 from repro.finder.config import FinderConfig
 from repro.finder.finder import (
     TangledLogicFinder,
-    _process_batch,
     _SeedOutcome,
     plan_seed_jobs,
     reduce_outcomes,
+    run_seed_jobs,
 )
 from repro.finder.result import FinderReport
 from repro.netlist.hypergraph import Netlist
@@ -332,8 +332,7 @@ def incremental_detect(
         delta_fp = delta_fingerprint(base_fp, delta)
 
         def _full(reason: str, region: Optional[DirtyRegion] = None) -> IncrementalResult:
-            if trace.enabled():
-                trace.counter("incremental.full_fallbacks").add(1)
+            trace.counter("incremental.full_fallbacks").add(1)
             report, new_trace = run_traced(new, config, pool=pool, pool_key=pool_key)
             return IncrementalResult(
                 report=report,
@@ -387,23 +386,16 @@ def incremental_detect(
         ):
             merged: List[_SeedOutcome] = list(seed_trace.outcomes)
             if dirty_indices:
-                dirty_jobs = [jobs[i] for i in dirty_indices]
-                if pool is not None:
-                    recomputed = pool.run_seed_jobs(
-                        new, config, dirty_jobs, key=pool_key
-                    )
-                else:
-                    recomputed = _process_batch(new, config, dirty_jobs)
+                recomputed = run_seed_jobs(
+                    new, config, [jobs[i] for i in dirty_indices], pool, pool_key
+                )
                 for index, outcome in zip(dirty_indices, recomputed):
                     merged[index] = outcome
             gtls, global_rent, num_candidates, orderings, rent_fallback = (
                 reduce_outcomes(new, config, merged)
             )
-        if trace.enabled():
-            trace.counter("incremental.seeds_reused").add(
-                len(jobs) - len(dirty_indices)
-            )
-            trace.counter("incremental.seeds_recomputed").add(len(dirty_indices))
+        trace.counter("incremental.seeds_reused").add(len(jobs) - len(dirty_indices))
+        trace.counter("incremental.seeds_recomputed").add(len(dirty_indices))
 
     report = FinderReport(
         gtls=gtls,

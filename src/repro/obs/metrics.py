@@ -7,6 +7,10 @@ and :meth:`merge` a snapshot back in, which is how worker processes ship
 their tallies to the parent (see :meth:`repro.obs.trace.Tracer.capture`).
 
 A :class:`MetricRegistry` names metrics and creates them on first use.
+The tracer owns one; so does every long-lived service component (worker
+pool, result store, design cache, job queue, daemon), which updates its
+own through :func:`repro.obs.trace.count` / :func:`~repro.obs.trace.observe`
+— those also mirror the update into the tracer's registry while tracing.
 When tracing is disabled, the module-level accessors in
 :mod:`repro.obs.trace` hand out the shared no-op instances below instead,
 so instrumented code never branches on "is telemetry on?" itself.
@@ -14,6 +18,7 @@ so instrumented code never branches on "is telemetry on?" itself.
 
 from __future__ import annotations
 
+import collections
 from bisect import bisect_right
 from typing import Any, Dict, Mapping, Tuple
 
@@ -175,7 +180,10 @@ class MetricRegistry:
 
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         """Plain-dict (picklable) state of every metric."""
-        return {name: metric.snapshot() for name, metric in self._metrics.items()}
+        # list(): a snapshot may race with another thread's first update.
+        return {
+            name: metric.snapshot() for name, metric in list(self._metrics.items())
+        }
 
     def merge(self, snapshot: Mapping[str, Mapping[str, Any]]) -> None:
         """Fold a :meth:`snapshot` (e.g. from a worker process) into this
@@ -186,6 +194,18 @@ class MetricRegistry:
             if cls is None:
                 raise ReproError(f"unknown metric kind {kind!r} for {name!r}")
             self._get(name, cls).merge(snap)
+
+
+def counter_values(
+    snapshot: Mapping[str, Mapping[str, Any]]
+) -> "collections.Counter[str]":
+    """Counter values by name from a :meth:`MetricRegistry.snapshot`
+    (names never counted read as 0)."""
+    return collections.Counter({
+        name: snap["value"]
+        for name, snap in snapshot.items()
+        if snap.get("kind") == "counter"
+    })
 
 
 class _NullCounter:
@@ -224,6 +244,7 @@ __all__ = [
     "Histogram",
     "MetricRegistry",
     "DEFAULT_BOUNDS",
+    "counter_values",
     "NULL_COUNTER",
     "NULL_GAUGE",
     "NULL_HISTOGRAM",

@@ -21,6 +21,7 @@ import json
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import ReproError
+from repro.obs.metrics import counter_values
 
 
 class RunReport:
@@ -130,11 +131,7 @@ class RunReport:
 
     def counters(self) -> Dict[str, int]:
         """Counter totals by name (the run's counter set)."""
-        return {
-            name: snap["value"]
-            for name, snap in self.metrics.items()
-            if snap.get("kind") == "counter"
-        }
+        return counter_values(self.metrics)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable aggregate (what benchmark records embed)."""
@@ -176,7 +173,7 @@ class RunReport:
         else:
             lines.append("(no spans recorded)")
 
-        counters = self.counters()
+        counters = counter_values(self.metrics)
         if counters:
             lines.append("counters:")
             for name in sorted(counters):

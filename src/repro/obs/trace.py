@@ -351,6 +351,28 @@ def histogram(name: str):
     return _TRACER.metrics.histogram(name)
 
 
+# Component registries are updated from several threads (the daemon's
+# connection and scheduler threads); metric updates are read-modify-write.
+_UPDATE_LOCK = threading.Lock()
+
+
+def count(metrics: MetricRegistry, name: str, amount: int = 1) -> None:
+    """Add ``amount`` to counter ``name`` of a component's own registry
+    and, while tracing, to the tracer's, so run reports see it too."""
+    with _UPDATE_LOCK:
+        metrics.counter(name).add(amount)
+        if _TRACER.enabled:
+            _TRACER.metrics.counter(name).add(amount)
+
+
+def observe(metrics: MetricRegistry, name: str, value: float) -> None:
+    """:func:`count` for histograms: record ``value`` in both registries."""
+    with _UPDATE_LOCK:
+        metrics.histogram(name).observe(value)
+        if _TRACER.enabled:
+            _TRACER.metrics.histogram(name).observe(value)
+
+
 __all__ = [
     "Capture",
     "JsonlSink",
@@ -358,6 +380,7 @@ __all__ = [
     "Span",
     "Tracer",
     "clock",
+    "count",
     "counter",
     "disable",
     "enable",
@@ -365,6 +388,7 @@ __all__ = [
     "gauge",
     "get_tracer",
     "histogram",
+    "observe",
     "record",
     "span",
 ]

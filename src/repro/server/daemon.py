@@ -22,6 +22,13 @@ Threading model:
 Shutdown is graceful by default: on SIGTERM (or a ``shutdown`` request)
 the daemon stops accepting work, lets the scheduler finish everything
 already admitted, then releases the pool, the store and the socket.
+
+Metrics: the daemon, its queue, pool, store and design cache each keep
+their live counts in their own ``metrics`` registry (``server.*``,
+``queue.*``, ``pool.*``, ``store.*``, ``designs.*``).  The ``status``
+reply carries them as one merged snapshot (:meth:`ServerDaemon.metrics_snapshot`),
+queue-wait and warm-answer latency histograms included; see
+:mod:`repro.server.protocol` for the payload.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ from repro.io import load_design, load_packed
 from repro.io.corpus import load_pack_index
 from repro.netlist.hypergraph import Netlist
 from repro.obs import trace
+from repro.obs.metrics import MetricRegistry
 from repro.server import protocol
 from repro.server.queue import (
     DEFAULT_PRIORITY,
@@ -108,16 +116,6 @@ class ServerConfig:
             raise ServerError("ServerConfig drain_timeout_s must be positive")
 
 
-@dataclass
-class DesignCacheStats:
-    """Live counters of one :class:`DesignCache`."""
-
-    hits: int = 0
-    misses: int = 0
-    pack_loads: int = 0
-    reloads: int = 0
-
-
 class DesignCache:
     """Bounded LRU of loaded designs, keyed by absolute source path.
 
@@ -131,7 +129,9 @@ class DesignCache:
 
     def __init__(self, max_designs: int = 8, pack_index: str = "") -> None:
         self.max_designs = max_designs
-        self.stats = DesignCacheStats()
+        #: Live ``designs.*`` counters: ``hits``, ``misses``, ``reloads``
+        #: (stat changed) and ``pack_loads`` (served from the pack index).
+        self.metrics = MetricRegistry()
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, Tuple[Netlist, str, Tuple[int, int]]]" = (
             OrderedDict()
@@ -152,23 +152,23 @@ class DesignCache:
             entry = self._entries.get(path)
             if entry is not None and entry[2] == signature:
                 self._entries.move_to_end(path)
-                self.stats.hits += 1
+                trace.count(self.metrics, "designs.hits")
                 return entry[0], entry[1]
             if entry is not None:
-                self.stats.reloads += 1
+                trace.count(self.metrics, "designs.reloads")
             netlist = self._load(path)
             fingerprint = fingerprint_netlist(netlist)
             self._entries[path] = (netlist, fingerprint, signature)
             self._entries.move_to_end(path)
             while len(self._entries) > self.max_designs:
                 self._entries.popitem(last=False)
-            self.stats.misses += 1
+            trace.count(self.metrics, "designs.misses")
             return netlist, fingerprint
 
     def _load(self, path: str) -> Netlist:
         packed = self._pack_index.get(path)
         if packed is not None and packed.matches(path):
-            self.stats.pack_loads += 1
+            trace.count(self.metrics, "designs.pack_loads")
             return load_packed(packed.pack_path)
         return load_design(path)
 
@@ -181,7 +181,6 @@ class DesignCache:
             "loaded": len(self),
             "max_designs": self.max_designs,
             "pack_index_entries": len(self._pack_index),
-            **dataclasses.asdict(self.stats),
         }
 
 
@@ -201,7 +200,6 @@ class _ConnectionHandler(socketserver.StreamRequestHandler):
                 request = protocol.parse_request(message)
                 daemon.dispatch(request, self.wfile)
             except ServerBusy as busy:
-                daemon.counters["rejected"] += 1
                 self._respond(
                     {
                         "ok": False,
@@ -275,13 +273,10 @@ class ServerDaemon:
             retry_after_s=config.retry_after_s,
         )
         self.started_at = time.time()
-        self.counters: Dict[str, int] = {
-            "requests": 0,
-            "warm_hits": 0,
-            "rejected": 0,
-            "done": 0,
-            "failed": 0,
-        }
+        #: Live ``server.*`` metrics: ``requests``, ``warm_hits``,
+        #: ``done.<class>``, ``failed`` and the ``wait_s.<class>`` /
+        #: ``warm_s`` latency histograms.
+        self.metrics = MetricRegistry()
         self._start_scheduler = start_scheduler
         self._scheduler: Optional[threading.Thread] = None
         self._listener: Optional[threading.Thread] = None
@@ -381,7 +376,7 @@ class ServerDaemon:
     # -- request dispatch (connection threads) --------------------------
     def dispatch(self, request: Dict[str, Any], stream) -> None:
         """Handle one parsed request, writing response line(s) to ``stream``."""
-        self.counters["requests"] += 1
+        trace.count(self.metrics, "server.requests")
         op = request["op"]
         if op == "ping":
             protocol.write_message(stream, self._pong())
@@ -437,18 +432,19 @@ class ServerDaemon:
             "uptime_s": time.time() - self.started_at,
             "workers": self.config.workers,
             "queue": self.queue.snapshot(),
-            "counters": dict(self.counters),
-            "store": {
-                "entries": len(self.store),
-                "hits": self.store.stats.hits,
-                "misses": self.store.stats.misses,
-                "puts": self.store.stats.puts,
-                "hit_rate": self.store.stats.hit_rate,
-            },
-            "pool": dataclasses.asdict(self.pool.stats),
+            "metrics": self.metrics_snapshot(),
+            "store": {"entries": len(self.store)},
             "designs": self.designs.snapshot(),
             "jobs": self.queue.jobs(limit=100 if group else 20, group=group),
         }
+
+    def metrics_snapshot(self) -> Dict[str, Dict[str, Any]]:
+        """One merged snapshot of the daemon's, queue's, pool's, store's
+        and design cache's registries (their names are disjoint)."""
+        merged = MetricRegistry()
+        for owner in (self, self.queue, self.pool, self.store, self.designs):
+            merged.merge(owner.metrics.snapshot())
+        return merged.snapshot()
 
     def _handle_result(self, request: Dict[str, Any]) -> Dict[str, Any]:
         record = self.queue.get(self._job_id_of(request))
@@ -480,9 +476,7 @@ class ServerDaemon:
         record = self._build_record(request)
         warm = self._warm_probe(record)
         if warm is not None:
-            self.counters["warm_hits"] += 1
-            if trace.enabled():
-                trace.counter("server.warm_hits").add(1)
+            trace.count(self.metrics, "server.warm_hits")
             record.state = DONE
             record.cached = True
             record.finished_at = time.time()
@@ -499,8 +493,7 @@ class ServerDaemon:
             if subscriber is not None:
                 record.unsubscribe(subscriber)
             raise
-        if trace.enabled():
-            trace.gauge("server.queue_depth").set(self.queue.depth())
+        trace.gauge("server.queue_depth").set(self.queue.depth())
         record.publish(
             "queued",
             position=position,
@@ -655,8 +648,7 @@ class ServerDaemon:
                 "cached": outcome.all_cached,
                 "runtime_seconds": trace.clock() - began,
             }
-        if trace.enabled():
-            trace.histogram("server.warm_s").observe(payload["runtime_seconds"])
+        trace.observe(self.metrics, "server.warm_s", payload["runtime_seconds"])
         return payload
 
     # -- scheduler (one thread) -----------------------------------------
@@ -670,9 +662,8 @@ class ServerDaemon:
             record.state = RUNNING
             record.started_at = time.time()
             wait_s = record.started_at - record.created_at
-            if trace.enabled():
-                trace.histogram(f"server.wait_s.{record.priority}").observe(wait_s)
-                trace.gauge("server.queue_depth").set(self.queue.depth())
+            trace.observe(self.metrics, f"server.wait_s.{record.priority}", wait_s)
+            trace.gauge("server.queue_depth").set(self.queue.depth())
             record.publish("started", wait_s=wait_s)
             with trace.span(
                 "server.job",
@@ -696,9 +687,7 @@ class ServerDaemon:
                     record.state = DONE
                     record.finished_at = time.time()
                     record.result = payload
-                    self.counters["done"] += 1
-                    if trace.enabled():
-                        trace.counter(f"server.done.{record.priority}").add(1)
+                    trace.count(self.metrics, f"server.done.{record.priority}")
                     job_span.set(outcome="done", cache="hit" if record.cached
                                  else "run")
                     record.publish("result", **payload)
@@ -707,9 +696,7 @@ class ServerDaemon:
         record.state = FAILED
         record.finished_at = time.time()
         record.error = error
-        self.counters["failed"] += 1
-        if trace.enabled():
-            trace.counter("server.failed").add(1)
+        trace.count(self.metrics, "server.failed")
         record.publish("error", error=error)
 
     def _execute(self, record: JobRecord) -> Dict[str, Any]:

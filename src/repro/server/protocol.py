@@ -53,6 +53,16 @@ of a sharded sweep (``"sweep/shard-3"``).  A ``status`` request with a
 ``"group"`` restricts its ``jobs`` listing to that group, so a queued
 sweep's shards are observable while they wait.  Absent fields keep the
 pre-group behaviour, so version 2 stays wire-compatible.
+
+Status payload (protocol 3): a server-level ``status`` response carries
+``pid``, ``uptime_s``, ``workers``, ``queue`` (depths, ``max_depth``,
+per-state job counts, ``closed``), ``store`` (``entries``), ``designs``
+(``loaded``, ``max_designs``, ``pack_index_entries``), ``jobs`` and one
+``metrics`` object: the merged :meth:`repro.obs.metrics.MetricRegistry.snapshot`
+of the daemon (``server.*``), queue (``queue.*``), pool (``pool.*``),
+store (``store.*``) and design cache (``designs.*``).  It replaces the
+version-2 ``counters`` and ``pool`` objects and the tallies that
+``queue``/``store``/``designs`` used to carry.
 """
 
 from __future__ import annotations
@@ -64,8 +74,9 @@ from typing import Any, BinaryIO, Dict, Optional
 from repro.errors import ServerError
 
 #: Protocol version, exchanged in ``ping`` so client/daemon skew is visible.
-#: Version 2 adds delta submits (``submit`` with a ``"delta"`` object).
-PROTOCOL_VERSION = 2
+#: Version 2 adds delta submits (``submit`` with a ``"delta"`` object);
+#: version 3 moves every ``status`` tally into one ``metrics`` snapshot.
+PROTOCOL_VERSION = 3
 
 #: Hard per-line bound (requests and responses); a 100K-cell report is
 #: ~10 MB of JSON, so this leaves generous headroom while still bounding a

@@ -37,6 +37,8 @@ from collections import OrderedDict, deque
 from typing import Any, Dict, List, Optional
 
 from repro.errors import ServerBusy, ServerError
+from repro.obs import trace
+from repro.obs.metrics import MetricRegistry
 
 #: Priority classes, best-served first.
 PRIORITIES = ("interactive", "batch", "sweep")
@@ -213,10 +215,9 @@ class JobQueue:
         self._records: "OrderedDict[str, JobRecord]" = OrderedDict()
         self._closed = False
         self._draining = False
-        self.submitted = 0
-        self.dispatched: Dict[str, int] = {p: 0 for p in PRIORITIES}
-        self.rejected = 0
-        self.cancelled = 0
+        #: Live ``queue.*`` counters: ``submitted``, ``rejected``,
+        #: ``cancelled`` and ``dispatched.<class>``.
+        self.metrics = MetricRegistry()
 
     # -- admission ------------------------------------------------------
     def submit(self, record: JobRecord) -> int:
@@ -230,7 +231,7 @@ class JobQueue:
                 raise ServerError("daemon is shutting down; not accepting jobs")
             depth = self.depth()
             if depth >= self.max_depth:
-                self.rejected += 1
+                trace.count(self.metrics, "queue.rejected")
                 retry_after = self.retry_after_s * (1.0 + depth / self.max_depth)
                 raise ServerBusy(
                     f"job queue full ({depth}/{self.max_depth} queued); "
@@ -239,7 +240,7 @@ class JobQueue:
                 )
             self._queues[record.priority].append(record)
             self._remember(record)
-            self.submitted += 1
+            trace.count(self.metrics, "queue.submitted")
             position = depth + 1
             self._condition.notify()
         return position
@@ -295,7 +296,7 @@ class JobQueue:
                 chosen = self._pick_class()
                 if chosen is not None:
                     record = self._queues[chosen].popleft()
-                    self.dispatched[chosen] += 1
+                    trace.count(self.metrics, f"queue.dispatched.{chosen}")
                     return record
                 if self._closed:
                     return None
@@ -327,7 +328,7 @@ class JobQueue:
             self._queues[record.priority].remove(record)
             record.state = CANCELLED
             record.finished_at = time.time()
-            self.cancelled += 1
+            trace.count(self.metrics, "queue.cancelled")
         record.publish("cancelled")
         return record
 
@@ -349,7 +350,7 @@ class JobQueue:
                         record = backlog.popleft()
                         record.state = CANCELLED
                         record.finished_at = time.time()
-                        self.cancelled += 1
+                        trace.count(self.metrics, "queue.cancelled")
                         dropped.append(record)
             self._condition.notify_all()
         for record in dropped:
@@ -371,7 +372,8 @@ class JobQueue:
             return {p: len(self._queues[p]) for p in PRIORITIES}
 
     def snapshot(self) -> Dict[str, Any]:
-        """Queue-level stats for the daemon's status response."""
+        """Queue-level state for the daemon's status response (the
+        counts live in :attr:`metrics`)."""
         with self._condition:
             states: Dict[str, int] = {}
             for record in self._records.values():
@@ -380,10 +382,6 @@ class JobQueue:
                 "depth": self.depth(),
                 "depths": {p: len(self._queues[p]) for p in PRIORITIES},
                 "max_depth": self.max_depth,
-                "submitted": self.submitted,
-                "dispatched": dict(self.dispatched),
-                "rejected": self.rejected,
-                "cancelled": self.cancelled,
                 "states": states,
                 "closed": self._closed,
             }

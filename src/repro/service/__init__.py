@@ -6,7 +6,7 @@ Turns the one-shot in-process finder into a batch service:
   ``(Netlist, FinderConfig)`` pairs, the cache key of everything below.
 * :mod:`repro.service.codec` — lossless JSON codecs for finder reports.
 * :mod:`repro.service.store` — persistent SQLite result store with
-  hit/miss accounting.
+  hit/miss accounting in its ``metrics`` registry.
 * :mod:`repro.service.pool` — a reusable worker pool that ships each
   netlist to the workers once and then streams bare seed batches.
 * :mod:`repro.service.jobs` — ``DetectionJob``/``JobResult`` records and
@@ -38,8 +38,8 @@ from repro.service.codec import (
     report_from_dict,
     report_to_dict,
 )
-from repro.service.store import CacheStats, MergeStats, ResultStore
-from repro.service.pool import PoolStats, WorkerPool
+from repro.service.store import MergeStats, ResultStore
+from repro.service.pool import WorkerPool
 from repro.service.jobs import (
     BatchProgress,
     BatchRunner,
@@ -78,10 +78,8 @@ __all__ = [
     "report_to_dict",
     "report_from_dict",
     "ResultStore",
-    "CacheStats",
     "MergeStats",
     "WorkerPool",
-    "PoolStats",
     "DetectionJob",
     "JobResult",
     "BatchRunner",

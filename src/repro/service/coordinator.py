@@ -42,6 +42,7 @@ from repro.finder.config import FinderConfig
 from repro.finder.result import FinderReport
 from repro.netlist.hypergraph import Netlist
 from repro.obs import trace
+from repro.obs.metrics import MetricRegistry
 from repro.service.jobs import BatchRunner, JobResult
 from repro.service.shard import SweepShard, partition_plan
 from repro.service.store import MergeStats, ResultStore
@@ -189,14 +190,14 @@ def _execute_shard(
             )
             for local, result in enumerate(results)
         ]
-        stats = store.stats if store is not None else None
+        metrics = store.metrics if store is not None else MetricRegistry()
         return {
             "shard_id": shard.shard_id,
             "outcomes": outcomes,
             "wall_seconds": timer.elapsed,
-            "cache_hits": stats.hits if stats else 0,
-            "cache_misses": stats.misses if stats else 0,
-            "cache_puts": stats.puts if stats else 0,
+            "cache_hits": metrics.counter("store.hits").value,
+            "cache_misses": metrics.counter("store.misses").value,
+            "cache_puts": metrics.counter("store.puts").value,
         }
     finally:
         if store is not None:
@@ -359,8 +360,7 @@ class SweepCoordinator:
                 shard_stats = stats[shard.shard_id]
                 shard_stats.error = error
                 if shard_stats.attempts < self.max_shard_attempts:
-                    if trace.enabled():
-                        trace.counter("sweep.shard_retries").add(1)
+                    trace.counter("sweep.shard_retries").add(1)
                     pending.append(shard)
                 else:
                     done_count += 1
@@ -559,8 +559,6 @@ class SweepCoordinator:
 
     # -- helpers --------------------------------------------------------
     def _observe_shard(self, stats: ShardStats) -> None:
-        if not trace.enabled():
-            return
         trace.record(
             "sweep.shard",
             duration=stats.wall_seconds,

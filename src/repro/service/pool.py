@@ -37,6 +37,17 @@ respawned lazily before the next run — without consuming a retry.
 Outcomes are returned in the original job order, so results are independent
 of both the chunking and the worker count — ``workers=8`` reproduces the
 ``workers=1`` report exactly.
+
+Metrics: :attr:`WorkerPool.metrics` is the pool's live
+:class:`~repro.obs.metrics.MetricRegistry` of ``pool.*`` counters —
+``batches`` (including re-submits), ``context_shipments``,
+``context_misses`` (batches bounced by an unprimed worker), ``restarts``
+(in-task crashes, billed against ``max_retries``), ``respawns`` (idle
+deaths, never billed), ``serial_runs``, ``{pickle,shm,file}_contexts``,
+``transport_fallbacks``, ``shm_segments``, ``shm_bytes``,
+``descriptor_bytes`` and ``context_bytes`` (what actually crossed the
+executor's pickle channel for context shipments).  While tracing, the same
+counts land in the trace too.
 """
 
 from __future__ import annotations
@@ -47,7 +58,6 @@ import os
 import pickle
 import time
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -58,6 +68,7 @@ from repro.netlist.backed import ArrayBackedNetlist
 from repro.netlist.backend import resolve_backend
 from repro.netlist.hypergraph import Netlist
 from repro.obs import trace
+from repro.obs.metrics import MetricRegistry
 from repro.service.fingerprint import FINGERPRINT_CACHE_KEY, job_fingerprint
 
 try:
@@ -103,10 +114,9 @@ _MISSING_CONTEXT = "__repro-missing-context__"
 
 _IndexedJob = Tuple[int, Tuple[int, int]]
 
-# A shipped context is either a transport descriptor — ("pickle", payload),
+# A shipped context is a transport descriptor: ("pickle", payload),
 # ("shm", name, nbytes, config_bytes) or ("file", path, fingerprint,
-# config_bytes) — or, for compatibility with direct callers, the legacy
-# (netlist, config[, arrays]) tuple.
+# config_bytes).
 _Context = Tuple[Any, ...]
 
 
@@ -139,7 +149,7 @@ def _evict_worker_context(key: str) -> None:
 
 def _install_context(key: str, context: _Context) -> Tuple[Netlist, FinderConfig]:
     """Materialize a shipped context inside a worker process."""
-    kind = context[0] if context and isinstance(context[0], str) else None
+    kind = context[0]
     if kind == "pickle":
         netlist, config, arrays = pickle.loads(context[1])
         if arrays is not None:
@@ -170,12 +180,7 @@ def _install_context(key: str, context: _Context) -> Tuple[Netlist, FinderConfig
                 f"fingerprint {loaded}, parent shipped {fingerprint}"
             )
         return netlist, config_bytes and pickle.loads(config_bytes)
-    # Legacy in-process form: (netlist, config[, arrays]).
-    netlist, config = context[0], context[1]
-    arrays = context[2] if len(context) > 2 else None
-    if arrays is not None:
-        netlist._arrays = arrays
-    return netlist, config
+    raise ServiceError(f"unknown context transport {kind!r}")
 
 
 def _worker_memory() -> Dict[str, float]:
@@ -254,48 +259,6 @@ def _worker_run_batch(
     }
 
 
-@dataclass
-class PoolStats:
-    """Live counters of one :class:`WorkerPool` instance.
-
-    Attributes:
-        batches: seed batches submitted to workers (including re-submits).
-        context_shipments: batches that carried a netlist context (in any
-            transport).
-        context_misses: batches bounced by an unprimed worker and re-sent.
-        restarts: executor restarts after an in-task worker crash (these
-            count against ``max_retries``).
-        respawns: executors rebuilt *between* runs because a worker died
-            while idle (e.g. OOM-killed); detected lazily on the next run
-            and never counted against ``max_retries``.
-        serial_runs: runs executed inline without touching the executor.
-        pickle_contexts: contexts shipped as full pickled payloads.
-        shm_contexts: contexts shipped as shared-memory descriptors.
-        file_contexts: contexts shipped as pack-file descriptors.
-        transport_fallbacks: shared-memory attempts that fell back to
-            pickle (e.g. ``/dev/shm`` exhausted).
-        shm_segments: shared-memory segments created by this pool.
-        shm_bytes: total bytes placed into shared memory.
-        context_bytes: bytes actually sent through the executor's pickle
-            channel for context shipments (descriptor size under shm/file
-            transport; full payload size under pickle transport).
-    """
-
-    batches: int = 0
-    context_shipments: int = 0
-    context_misses: int = 0
-    restarts: int = 0
-    respawns: int = 0
-    serial_runs: int = 0
-    pickle_contexts: int = 0
-    shm_contexts: int = 0
-    file_contexts: int = 0
-    transport_fallbacks: int = 0
-    shm_segments: int = 0
-    shm_bytes: int = 0
-    context_bytes: int = 0
-
-
 class WorkerPool:
     """Persistent process pool that runs seed batches for many detections.
 
@@ -321,7 +284,8 @@ class WorkerPool:
         self.workers = workers
         self.max_retries = max_retries
         self.batches_per_worker = batches_per_worker
-        self.stats = PoolStats()
+        #: Live ``pool.*`` counters of this instance (see the module doc).
+        self.metrics = MetricRegistry()
         self._executor: Optional[concurrent.futures.ProcessPoolExecutor] = None
         self._shipped_keys: Set[str] = set()
         # key -> (segment, blob_nbytes).  The parent owns segment lifetime:
@@ -347,7 +311,7 @@ class WorkerPool:
         if not jobs:
             return []
         if self.workers <= 1 or len(jobs) == 1:
-            self.stats.serial_runs += 1
+            trace.count(self.metrics, "pool.serial_runs")
             with trace.span("pool.serial", jobs=len(jobs)):
                 return _process_batch(netlist, config, jobs)
 
@@ -368,7 +332,7 @@ class WorkerPool:
 
     # ------------------------------------------------------------------
     def _prepare_context(
-        self, netlist: Netlist, config: FinderConfig, key: str, traced: bool
+        self, netlist: Netlist, config: FinderConfig, key: str
     ) -> Tuple[_Context, int]:
         """Build the transport descriptor for one context shipment.
 
@@ -381,17 +345,13 @@ class WorkerPool:
         config_bytes = pickle.dumps(config)
         descriptor = self._file_context(netlist, config_bytes)
         if descriptor is None:
-            descriptor = self._shm_context(netlist, config_bytes, key, traced)
+            descriptor = self._shm_context(netlist, config_bytes, key)
         if descriptor is None:  # shared memory unavailable: fall back
-            self.stats.transport_fallbacks += 1
+            trace.count(self.metrics, "pool.transport_fallbacks")
             return self._pickle_context(netlist, config)
         shipped = len(pickle.dumps(descriptor))
-        if descriptor[0] == "shm":
-            self.stats.shm_contexts += 1
-        else:
-            self.stats.file_contexts += 1
-        if traced:
-            trace.counter("pool.descriptor_bytes").add(shipped)
+        trace.count(self.metrics, f"pool.{descriptor[0]}_contexts")
+        trace.count(self.metrics, "pool.descriptor_bytes", shipped)
         return descriptor, shipped
 
     def _pickle_context(
@@ -407,7 +367,7 @@ class WorkerPool:
         ):
             arrays = netlist.arrays
         payload = pickle.dumps((netlist, config, arrays))
-        self.stats.pickle_contexts += 1
+        trace.count(self.metrics, "pool.pickle_contexts")
         return ("pickle", payload), len(payload)
 
     def _file_context(
@@ -432,7 +392,7 @@ class WorkerPool:
         return ("file", path, fingerprint, config_bytes)
 
     def _shm_context(
-        self, netlist: Netlist, config_bytes: bytes, key: str, traced: bool
+        self, netlist: Netlist, config_bytes: bytes, key: str
     ) -> Optional[_Context]:
         """Shared-memory descriptor, creating/reusing the segment for ``key``."""
         entry = self._segments.get(key)
@@ -447,11 +407,8 @@ class WorkerPool:
             segment.buf[: len(blob)] = blob
             entry = (segment, len(blob))
             self._segments[key] = entry
-            self.stats.shm_segments += 1
-            self.stats.shm_bytes += len(blob)
-            if traced:
-                trace.counter("pool.shm_segments").add(1)
-                trace.counter("pool.shm_bytes").add(len(blob))
+            trace.count(self.metrics, "pool.shm_segments")
+            trace.count(self.metrics, "pool.shm_bytes", len(blob))
             while len(self._segments) > _WORKER_CONTEXT_LIMIT:
                 stale = next(iter(self._segments))
                 self._destroy_segment(*self._segments.pop(stale))
@@ -495,7 +452,7 @@ class WorkerPool:
                 # Serialized exactly once per run; the same prepared payload
                 # serves every shipping batch and the byte counters.
                 context, context_bytes = self._prepare_context(
-                    netlist, config, key, traced
+                    netlist, config, key
                 )
             shipped = context if ship_context else None
             futures = {}
@@ -516,13 +473,10 @@ class WorkerPool:
                     break
                 futures[future] = chunk
                 submitted_at[future] = time.time()
-                self.stats.batches += 1
+                trace.count(self.metrics, "pool.batches")
                 if shipped is not None:
-                    self.stats.context_shipments += 1
-                    self.stats.context_bytes += context_bytes
-                    if traced:
-                        trace.counter("pool.context_shipments").add(1)
-                        trace.counter("pool.context_bytes").add(context_bytes)
+                    trace.count(self.metrics, "pool.context_shipments")
+                    trace.count(self.metrics, "pool.context_bytes", context_bytes)
             self._shipped_keys.add(key)
             try:
                 for future, chunk in futures.items():
@@ -533,13 +487,11 @@ class WorkerPool:
                         retry.append(chunk)
                         continue
                     if result == _MISSING_CONTEXT:
-                        self.stats.context_misses += 1
-                        if traced:
-                            trace.counter("pool.context_misses").add(1)
+                        trace.count(self.metrics, "pool.context_misses")
                         retry.append(chunk)
                         continue
                     rows = result
-                    if traced and isinstance(result, dict):
+                    if isinstance(result, dict):  # a traced worker's capture
                         rows = result["rows"]
                         self._record_task(result, submitted_at[future], len(chunk))
                     for index, outcome in rows:
@@ -554,9 +506,7 @@ class WorkerPool:
 
             if broken:
                 restarts += 1
-                self.stats.restarts += 1
-                if traced:
-                    trace.counter("pool.restarts").add(1)
+                trace.count(self.metrics, "pool.restarts")
                 if restarts > self.max_retries:
                     raise ServiceError(
                         f"worker pool crashed {restarts} time(s); giving up "
@@ -620,9 +570,7 @@ class WorkerPool:
 
     def _ensure_executor(self) -> concurrent.futures.ProcessPoolExecutor:
         if self._executor is not None and self._workers_dead():
-            self.stats.respawns += 1
-            if trace.enabled():
-                trace.counter("pool.respawns").add(1)
+            trace.count(self.metrics, "pool.respawns")
             self._restart_executor()
         if self._executor is None:
             self._executor = concurrent.futures.ProcessPoolExecutor(

@@ -13,8 +13,12 @@ evicted and rewritten, never mis-decoded.  The original
 :meth:`ResultStore.get`/:meth:`ResultStore.put` detection-report interface
 is a thin layer over the generic payload methods.
 
-The store keeps live hit/miss counters (:class:`CacheStats`) so batch and
-flow runs can report their cache effectiveness.
+Each store instance counts its traffic in :attr:`ResultStore.metrics`
+(``store.hits``, ``store.misses``, ``store.puts``, ``store.evictions``), so
+batch and flow runs can report their cache effectiveness
+(:meth:`ResultStore.summary` is the CLI's ``cache:`` line).  A lookup whose
+row is stale — version skew, kind collision, corrupt JSON, or a payload the
+caller's ``decode`` rejects — counts as one miss and no hit.
 
 Concurrency: the database runs in WAL journal mode with a busy timeout, so
 one cache directory can be shared by a long-lived daemon and concurrent
@@ -33,11 +37,12 @@ import sqlite3
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError, ServiceError
 from repro.finder.result import FinderReport
 from repro.obs import trace
+from repro.obs.metrics import MetricRegistry
 from repro.service.codec import report_from_dict, report_to_dict
 
 logger = logging.getLogger(__name__)
@@ -81,33 +86,6 @@ CREATE TABLE IF NOT EXISTS results (
     schema_version INTEGER NOT NULL DEFAULT 0
 )
 """
-
-
-@dataclass
-class CacheStats:
-    """Live counters of one store instance (not persisted)."""
-
-    hits: int = 0
-    misses: int = 0
-    puts: int = 0
-    evictions: int = 0
-
-    @property
-    def lookups(self) -> int:
-        """Total ``get`` calls."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups answered from the store (0.0 when idle)."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def summary(self) -> str:
-        """One-line human-readable form."""
-        return (
-            f"{self.hits} hit(s) / {self.misses} miss(es) "
-            f"({self.hit_rate:.0%} hit rate), {self.puts} put(s)"
-        )
 
 
 @dataclass
@@ -194,7 +172,8 @@ class ResultStore:
             raise ServiceError(
                 f"cannot open result store at {self._db_path}: {error}"
             ) from error
-        self.stats = CacheStats()
+        #: Live ``store.*`` counters of this instance (not persisted).
+        self.metrics = MetricRegistry()
 
     def _configure_connection(self) -> None:
         """Switch the database to WAL journaling with a busy timeout.
@@ -244,14 +223,20 @@ class ResultStore:
 
     # ------------------------------------------------------------------
     def get_payload(
-        self, fingerprint: str, kind: Optional[str] = None
-    ) -> Optional[Dict[str, Any]]:
-        """Stored payload dict for ``fingerprint``, or ``None`` (a miss).
+        self,
+        fingerprint: str,
+        kind: Optional[str] = None,
+        decode: Optional[Callable[[Dict[str, Any]], Any]] = None,
+    ) -> Any:
+        """Stored payload dict for ``fingerprint`` — passed through
+        ``decode`` when given — or ``None`` (a miss).
 
         A row whose ``schema_version`` differs from its kind's current
         :func:`row_schema_version`, whose ``kind`` does not match ``kind``
-        (when given), or whose payload is not valid JSON is evicted and
-        reported as a miss so the caller recomputes and rewrites it.
+        (when given), whose payload is not valid JSON, or whose payload
+        ``decode`` rejects with a :class:`ReproError` (codec skew inside
+        the payload) is evicted and reported as a miss so the caller
+        recomputes and rewrites it.
         """
         self._require_open()
         began = trace.clock() if trace.enabled() else None
@@ -262,26 +247,35 @@ class ResultStore:
                 (fingerprint,),
             ).fetchone()
         if row is None:
-            self.stats.misses += 1
             self._observe_get(began, hit=False)
             return None
         payload_text, row_kind, row_version = row
-        data: Optional[Dict[str, Any]] = None
+        data: Any = None
         if row_version == row_schema_version(row_kind) and (
             kind is None or row_kind == kind
         ):
             try:
                 data = json.loads(payload_text)
             except json.JSONDecodeError:
-                data = None
+                pass
         if not isinstance(data, dict):
-            # Version skew, kind collision or corruption: drop the row and
-            # treat the lookup as a miss so the entry is recomputed.
+            data = None
+        elif decode is not None:
+            try:
+                data = decode(data)
+            except ReproError as error:
+                logger.warning(
+                    "stale %s row %s, recomputing: %s",
+                    row_kind, fingerprint[:12], error,
+                )
+                data = None
+        if data is None:
+            # Version skew, kind collision, corruption or a payload that no
+            # longer decodes: drop the row and treat the lookup as a miss
+            # so the entry is recomputed.
             self.evict(fingerprint)
-            self.stats.misses += 1
             self._observe_get(began, hit=False)
             return None
-        self.stats.hits += 1
         try:
             with self._lock:
                 self._conn.execute(
@@ -298,13 +292,11 @@ class ResultStore:
         return data
 
     def _observe_get(self, began: Optional[float], hit: bool) -> None:
-        """Mirror one lookup into the obs layer when tracing is enabled
-        (``began`` is ``None`` otherwise).  :attr:`stats` stays the source
-        of truth for the CLI's cache line; these counters feed RunReport."""
-        if began is None:
-            return
-        trace.counter("store.hits" if hit else "store.misses").add(1)
-        trace.histogram("store.get_s").observe(trace.clock() - began)
+        """Count one lookup; time it when tracing (``began`` is ``None``
+        otherwise)."""
+        trace.count(self.metrics, "store.hits" if hit else "store.misses")
+        if began is not None:
+            trace.histogram("store.get_s").observe(trace.clock() - began)
 
     def put_payload(
         self,
@@ -342,36 +334,34 @@ class ResultStore:
                 ),
             )
             self._conn.commit()
-        self.stats.puts += 1
+        trace.count(self.metrics, "store.puts")
         if began is not None:
-            trace.counter("store.puts").add(1)
             trace.histogram("store.put_s").observe(trace.clock() - began)
 
-    def demote_hit(self, fingerprint: str) -> None:
-        """Reclassify the latest hit on ``fingerprint`` as a miss and evict.
-
-        Used by callers that decode payloads themselves (the flow layer)
-        when a structurally valid JSON payload fails artifact decoding —
-        e.g. codec version skew inside the payload.
-        """
-        self.stats.hits -= 1
-        self.stats.misses += 1
-        self.evict(fingerprint)
+    def summary(self) -> str:
+        """One-line hit/miss/put tally of this instance (the CLI's
+        ``cache:`` line)."""
+        hits, misses, puts = (
+            self.metrics.counter(f"store.{name}").value
+            for name in ("hits", "misses", "puts")
+        )
+        lookups = hits + misses
+        rate = hits / lookups if lookups else 0.0
+        return (
+            f"{hits} hit(s) / {misses} miss(es) "
+            f"({rate:.0%} hit rate), {puts} put(s)"
+        )
 
     # ------------------------------------------------------------------
     def get(self, fingerprint: str) -> Optional[FinderReport]:
-        """Stored report for ``fingerprint``, or ``None`` (counted as a miss)."""
-        data = self.get_payload(fingerprint, kind=KIND_FINDER_REPORT)
-        if data is None:
-            return None
-        try:
-            return report_from_dict(data)
-        except ReproError:
-            # A stale row (codec version skew, a config that no longer
-            # validates) must not poison the run: drop it and treat the
-            # lookup as a miss so the job is recomputed.
-            self.demote_hit(fingerprint)
-            return None
+        """Stored report for ``fingerprint``, or ``None`` (counted as a miss).
+
+        A stale row (codec version skew, a config that no longer validates)
+        must not poison the run: it is dropped and the job recomputed.
+        """
+        return self.get_payload(
+            fingerprint, kind=KIND_FINDER_REPORT, decode=report_from_dict
+        )
 
     def put(self, fingerprint: str, report: FinderReport) -> None:
         """Insert or replace the report stored under ``fingerprint``."""
@@ -393,7 +383,7 @@ class ResultStore:
             self._conn.commit()
         evicted = cursor.rowcount > 0
         if evicted:
-            self.stats.evictions += 1
+            trace.count(self.metrics, "store.evictions")
         return evicted
 
     def evict_lru(self, keep: int) -> int:
@@ -410,7 +400,7 @@ class ResultStore:
                 (keep,),
             )
             self._conn.commit()
-        self.stats.evictions += cursor.rowcount
+        trace.count(self.metrics, "store.evictions", cursor.rowcount)
         return cursor.rowcount
 
     def clear(self) -> int:
@@ -502,11 +492,10 @@ class ResultStore:
         finally:
             if owns_source:
                 src.close()
-        if trace.enabled():
-            trace.counter("store.merge.copied").add(stats.copied)
-            trace.counter("store.merge.merged").add(stats.merged)
-            trace.counter("store.merge.conflicts").add(stats.conflicts)
-            trace.counter("store.merge.stale_skipped").add(stats.stale_skipped)
+        trace.counter("store.merge.copied").add(stats.copied)
+        trace.counter("store.merge.merged").add(stats.merged)
+        trace.counter("store.merge.conflicts").add(stats.conflicts)
+        trace.counter("store.merge.stale_skipped").add(stats.stale_skipped)
         return stats
 
     def _merge_row(self, row: Tuple, stats: MergeStats) -> None:

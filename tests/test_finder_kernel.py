@@ -29,6 +29,7 @@ from repro.netlist.ops import (
     group_stats,
     scan_ordering_curves,
 )
+from repro.obs.metrics import counter_values
 from repro.service.store import ResultStore
 
 
@@ -272,11 +273,12 @@ def test_pool_ships_prebuilt_arrays_once(small_planted):
     serial = WorkerPool(1).run_seed_jobs(netlist, config, jobs)
     with WorkerPool(2) as pool:
         parallel_first = pool.run_seed_jobs(netlist, config, jobs, key="k")
-        shipped = pool.stats.context_shipments
+        shipped = pool.metrics.counter("pool.context_shipments").value
         parallel_again = pool.run_seed_jobs(netlist, config, jobs, key="k")
     assert parallel_first == serial
     assert parallel_again == serial
     assert shipped >= 1
     # The second run reused the primed workers: no new context shipments
     # beyond bounced-batch re-sends.
-    assert pool.stats.context_misses <= pool.stats.context_shipments
+    counts = counter_values(pool.metrics.snapshot())
+    assert counts["pool.context_misses"] <= counts["pool.context_shipments"]

@@ -184,7 +184,7 @@ def test_nondeterministic_stage_is_not_cached(small, tmp_path):
         flow.run(netlist, store=store)
         flow.run(netlist, store=store)
         assert len(store) == 0
-        assert store.stats.puts == 0
+        assert store.metrics.counter("store.puts").value == 0
 
 
 def test_nondeterminism_poisons_downstream_caching(small, tmp_path):
@@ -219,7 +219,7 @@ def test_store_schema_version_mismatch_is_a_miss(small, tmp_path):
         store._conn.commit()
         result = flow.run(netlist, store=store)
         assert not result["detect"].cached  # old row did not answer the run
-        assert store.stats.puts == 2  # and was rewritten
+        assert store.metrics.counter("store.puts").value == 2  # and was rewritten
         row = store._conn.execute("SELECT schema_version FROM results").fetchone()
         assert row[0] == SCHEMA_VERSION
 

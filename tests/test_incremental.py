@@ -6,6 +6,7 @@ full-recompute parity invariant, the store-backed reuse ladder, the
 moving-pin perturbation model and the benchmark regression warning.
 """
 
+import dataclasses
 import importlib.util
 import json
 import logging
@@ -49,6 +50,7 @@ from repro.incremental.engine import (
 )
 from repro.netlist.backend import forced_backend
 from repro.netlist.builder import NetlistBuilder
+from repro.obs import trace
 from repro.service.codec import report_to_dict
 from repro.service.fingerprint import (
     fingerprint_config,
@@ -279,6 +281,22 @@ def test_incremental_matches_cold_run(base, backend):
     assert result.delta_fingerprint == delta_fingerprint(
         fingerprint_netlist(base), delta
     )
+
+
+def test_patched_run_honours_workers(base):
+    """Dirty seeds recompute on an ephemeral pool when ``workers > 1``; the
+    patched report equals the serial patched report."""
+    _, seed_trace = run_traced(base, CFG)
+    edited, delta = rewire_pins(base, 0.001, rng=1, return_delta=True)
+    serial = incremental_detect(base, edited, seed_trace, CFG, delta=delta)
+    with trace.get_tracer().capture() as captured:  # leaves no trace behind
+        parallel = incremental_detect(
+            base, edited, seed_trace, CFG.with_overrides(workers=2), delta=delta
+        )
+    assert parallel.mode == "incremental" and parallel.seeds_recomputed > 1
+    assert any(span["name"] == "pool.run" for span in captured.spans)
+    parallel_report = dataclasses.replace(parallel.report, config=CFG)
+    assert _strip(parallel_report) == _strip(serial.report)
 
 
 def test_incremental_accepts_precomputed_delta(base):

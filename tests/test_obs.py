@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 import logging
 import os
+import sys
+import threading
 
 import pytest
 
@@ -30,6 +32,7 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricRegistry,
+    counter_values,
 )
 from repro.obs.trace import NULL_SPAN
 from repro.service import ResultStore, WorkerPool, job_fingerprint
@@ -311,6 +314,49 @@ def test_store_emits_hit_miss_put_telemetry(tmp_path, small):
     assert get_hist["kind"] == "histogram" and get_hist["count"] == 2
     assert run_report.metrics["store.put_s"]["count"] == 1
     assert "store.get_s" in run_report.summary()
+
+
+def test_count_loses_no_update_across_threads():
+    """Component registries are shared by daemon threads: concurrent
+    ``trace.count`` calls must not lose increments."""
+    registry = MetricRegistry()
+
+    def hammer(index):
+        for _ in range(5000):
+            trace.count(registry, "n")
+            trace.count(registry, f"n.{index}")
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    counts = counter_values(registry.snapshot())
+    assert counts["n"] == 8 * 5000
+    assert len(counts) == 1 + 8
+
+
+def test_stale_store_row_counts_one_miss_and_no_hit(tmp_path):
+    """A report row that no longer decodes is exactly one miss and no hit,
+    in the store's own registry and in the traced run report alike."""
+    trace.enable()
+    with ResultStore(str(tmp_path)) as store:
+        store.put_payload("fp", {}, kind="finder_report")
+        assert store.get("fp") is None
+        assert "fp" not in store  # the stale row was evicted
+        own = counter_values(store.metrics.snapshot())
+    traced = RunReport.from_tracer().counters()
+    trace.disable()
+    for counts in (own, traced):
+        assert counts["store.hits"] == 0
+        assert counts["store.misses"] == 1
+        assert counts["store.evictions"] == 1
 
 
 def test_flow_stage_spans_carry_cache_attrs(tmp_path, small):

@@ -14,6 +14,7 @@ Three layers:
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 import time
@@ -31,6 +32,7 @@ from repro.io.corpus import (
     pack_corpus,
 )
 from repro.io.hgr import write_hgr
+from repro.obs.metrics import counter_values
 from repro.server import Client, JobQueue, JobRecord, ServerConfig, ServerDaemon
 from repro.server.daemon import DesignCache
 from repro.server.queue import CANCELLED, DONE
@@ -63,7 +65,7 @@ def test_queue_backpressure_rejects_with_retry_after():
     with pytest.raises(ServerBusy) as excinfo:
         queue.submit(_job())
     assert excinfo.value.retry_after_s > 0.5  # scaled by the backlog
-    assert queue.rejected == 1
+    assert queue.metrics.counter("queue.rejected").value == 1
     assert queue.depth() == 2  # the rejected job was never admitted
 
 
@@ -98,7 +100,7 @@ def test_queue_cancel_queued_job():
     cancelled = queue.cancel(record.job_id)
     assert cancelled.state == CANCELLED
     assert queue.depth() == 0
-    assert queue.cancelled == 1
+    assert queue.metrics.counter("queue.cancelled").value == 1
     # Still queryable after cancellation.
     assert queue.get(record.job_id) is record
 
@@ -256,12 +258,13 @@ def test_design_cache_lru_and_stat_invalidation(corpus):
     cache.get(path_b)  # evicts a (max_designs=1)
     assert len(cache) == 1
     cache.get(path_a)
-    assert cache.stats.hits == 1 and cache.stats.misses == 3
+    counts = counter_values(cache.metrics.snapshot())
+    assert counts["designs.hits"] == 1 and counts["designs.misses"] == 3
 
     os.utime(path_a, ns=(2, 2))
     reloaded, _ = cache.get(path_a)
     assert reloaded is not loaded
-    assert cache.stats.reloads == 1
+    assert cache.metrics.counter("designs.reloads").value == 1
 
 
 def test_design_cache_serves_from_pack_index(corpus, tmp_path):
@@ -270,7 +273,7 @@ def test_design_cache_serves_from_pack_index(corpus, tmp_path):
     pack_corpus([path], out)
     cache = DesignCache(pack_index=out)
     loaded, fingerprint = cache.get(path)
-    assert cache.stats.pack_loads == 1
+    assert cache.metrics.counter("designs.pack_loads").value == 1
     assert fingerprint == fingerprint_netlist(netlist)
     assert loaded.num_cells == netlist.num_cells
 
@@ -314,6 +317,9 @@ def test_daemon_ping_and_status(corpus, daemon_factory):
     status = client.status()
     assert status["queue"]["depth"] == 0
     assert status["workers"] == 1
+    assert pong["protocol"] == 3 and "counters" not in status
+    # One merged metrics snapshot; this status request is the second.
+    assert counter_values(status["metrics"])["server.requests"] == 2
 
 
 def test_daemon_cold_then_warm_bit_identical_and_fast(corpus, daemon_factory):
@@ -321,7 +327,7 @@ def test_daemon_cold_then_warm_bit_identical_and_fast(corpus, daemon_factory):
     path, netlist = corpus["a"]
     cold = client.submit(path, config=CFG, priority="interactive")
     assert cold["event"] == "result" and cold["cached"] is False
-    batches_after_cold = daemon.pool.stats.batches
+    batches_after_cold = daemon.pool.metrics.counter("pool.batches").value
 
     began = time.perf_counter()
     warm = client.submit(path, config=CFG)
@@ -330,9 +336,12 @@ def test_daemon_cold_then_warm_bit_identical_and_fast(corpus, daemon_factory):
     assert warm["report"] == cold["report"]  # bit-identical payloads
     assert warm_seconds < 0.05  # the acceptance bound: no spawn, no queue
     # The warm answer never touched the pool or the queue.
-    assert daemon.pool.stats.batches == batches_after_cold
-    assert daemon.counters["warm_hits"] == 1
-    assert daemon.queue.submitted == 1
+    counts = counter_values(client.status()["metrics"])
+    assert counts["pool.batches"] == batches_after_cold
+    assert counts["server.warm_hits"] == 1
+    assert counts["queue.submitted"] == 1
+    assert counts["server.done.interactive"] == 1
+    assert counts["store.hits"] == 1
 
     # Identical to an offline run of the same job (modulo wall-clock).
     offline = find_tangled_logic(netlist, FinderConfig(**CFG))
@@ -380,7 +389,7 @@ def test_daemon_backpressure_rejection(corpus, daemon_factory):
             corpus["a"][0], config={"num_seeds": 6, "seed": 12}, wait=False
         )
     assert excinfo.value.retry_after_s > 0
-    assert daemon.queue.rejected == 1
+    assert daemon.queue.metrics.counter("queue.rejected").value == 1
 
 
 def test_daemon_cancel_queued_job(corpus, daemon_factory):
@@ -482,7 +491,8 @@ def test_cli_submit_and_status_roundtrip(corpus, daemon_factory, capsys):
     status_out = capsys.readouterr().out
     assert "1 warm hit(s)" in status_out
     assert main(["status", "--socket", socket_path, "--json"]) == 0
-    assert '"warm_hits": 1' in capsys.readouterr().out
+    metrics = json.loads(capsys.readouterr().out)["metrics"]
+    assert metrics["server.warm_hits"] == {"kind": "counter", "value": 1}
 
 
 def test_cli_submit_no_wait_then_poll(corpus, daemon_factory, capsys):
@@ -541,7 +551,7 @@ def test_daemon_delta_submit_end_to_end(corpus, daemon_factory):
     assert base["incremental"]["mode"] == "full"
 
     edited, delta = rewire_pins(netlist, 0.002, rng=1, return_delta=True)
-    misses_before = daemon.designs.stats.misses
+    misses_before = daemon.designs.metrics.counter("designs.misses").value
     patched = client.submit(
         path, config=DELTA_CFG, delta=delta.to_dict(), priority="interactive"
     )
@@ -554,7 +564,7 @@ def test_daemon_delta_submit_end_to_end(corpus, daemon_factory):
     assert provenance["base_fingerprint"] == fingerprint_netlist(netlist)
     assert 0 < provenance["seeds_recomputed"] < provenance["seeds_total"]
     # The base design was answered from the warm cache, not re-loaded.
-    assert daemon.designs.stats.misses == misses_before
+    assert daemon.designs.metrics.counter("designs.misses").value == misses_before
 
     # Parity: the patched report equals an offline cold run on the edit.
     offline = report_to_dict(

@@ -13,6 +13,7 @@ from repro.errors import ServiceError
 from repro.finder import FinderConfig, FinderReport, TangledLogicFinder, find_tangled_logic
 from repro.finder.config import DEFAULT_RENT_EXPONENT
 from repro.generators.random_gtl import planted_gtl_graph
+from repro.obs.metrics import counter_values
 from repro.service import (
     BatchRunner,
     DetectionJob,
@@ -103,7 +104,8 @@ def test_store_round_trip_is_bit_identical(tmp_path, small_report):
         assert "fp1" in store
         assert len(store) == 1
         assert store.get("fp1") == small_report
-        assert store.stats.hits == 1 and store.stats.misses == 0
+        counts = counter_values(store.metrics.snapshot())
+        assert counts["store.hits"] == 1 and counts["store.misses"] == 0
 
 
 def test_store_persists_across_instances(tmp_path, small_report):
@@ -116,7 +118,7 @@ def test_store_persists_across_instances(tmp_path, small_report):
 def test_store_miss_evict_and_lru(tmp_path, small_report):
     with ResultStore(str(tmp_path)) as store:
         assert store.get("absent") is None
-        assert store.stats.misses == 1
+        assert store.metrics.counter("store.misses").value == 1
         store.put("a", small_report)
         store.put("b", small_report)
         assert store.evict("a") is True
@@ -166,7 +168,8 @@ def test_pool_matches_serial_results(small):
     assert again.gtls == serial.gtls
     # The context is shipped on the first run only; later runs stream bare
     # seed batches (modulo unprimed-worker misses, which re-ship).
-    assert pool.stats.context_shipments <= 2 + pool.stats.context_misses
+    counts = counter_values(pool.metrics.snapshot())
+    assert counts["pool.context_shipments"] <= 2 + counts["pool.context_misses"]
 
 
 def test_pool_workers_field_does_not_change_results(small):
@@ -180,7 +183,7 @@ def test_pool_serial_path_avoids_processes(small):
     netlist, _ = small
     pool = WorkerPool(1)
     report = TangledLogicFinder(netlist, CFG).run(pool=pool)
-    assert pool.stats.serial_runs == 1
+    assert pool.metrics.counter("pool.serial_runs").value == 1
     assert pool._executor is None
     assert report.gtls == find_tangled_logic(netlist, CFG).gtls
 
@@ -216,7 +219,8 @@ def test_batch_runner_no_cache_bypasses_store(tmp_path, small):
         with BatchRunner(workers=1, store=store, use_cache=False) as runner:
             first = runner.run([job])[0]
             second = runner.run([job])[0]
-        assert store.stats.lookups == 0 and store.stats.puts == 0
+        counts = counter_values(store.metrics.snapshot())
+        assert counts["store.hits"] + counts["store.misses"] + counts["store.puts"] == 0
         assert len(store) == 0
     assert not first.cached and not second.cached
     # Both runs recomputed (runtime differs) but the science is identical.
@@ -320,15 +324,16 @@ def test_plan_sweep_never_deduplicates_nondeterministic_points(small):
 
 
 def test_worker_context_memo_is_bounded(small):
+    import pickle
+
     from repro.service import pool as pool_module
 
     netlist, _ = small
+    context = ("pickle", pickle.dumps((netlist, CFG, None)))
     pool_module._WORKER_CONTEXTS.clear()
     try:
         for i in range(pool_module._WORKER_CONTEXT_LIMIT + 2):
-            result = pool_module._worker_run_batch(
-                f"k{i}", [], context=(netlist, CFG)
-            )
+            result = pool_module._worker_run_batch(f"k{i}", [], context=context)
             assert result == []
         assert len(pool_module._WORKER_CONTEXTS) == pool_module._WORKER_CONTEXT_LIMIT
         # The oldest contexts were evicted; a bare batch for one bounces.

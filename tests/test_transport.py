@@ -19,6 +19,7 @@ from repro.generators.random_gtl import planted_gtl_graph
 from repro.io.binfmt import load_packed, serialize_netlist, write_packed
 from repro.io.hgr import write_hgr
 from repro.obs import trace
+from repro.obs.metrics import counter_values
 from repro.obs.report import RunReport
 from repro.service.pool import (
     _MISSING_CONTEXT,
@@ -83,13 +84,14 @@ def test_shm_transport_matches_serial(design, serial_report):
     with WorkerPool(2) as pool:
         report = TangledLogicFinder(design, CFG2).run(pool=pool)
         assert _same_report(report, serial_report)
-        assert pool.stats.shm_contexts >= 1
-        assert pool.stats.shm_segments == 1
-        assert pool.stats.pickle_contexts == 0
+        counts = counter_values(pool.metrics.snapshot())
+        assert counts["pool.shm_contexts"] >= 1
+        assert counts["pool.shm_segments"] == 1
+        assert counts["pool.pickle_contexts"] == 0
         # Descriptors, not payloads, cross the pickle channel per batch.
-        per_batch = pool.stats.context_bytes / pool.stats.context_shipments
+        per_batch = counts["pool.context_bytes"] / counts["pool.context_shipments"]
         assert per_batch < 4096
-        assert pool.stats.shm_bytes == len(serialize_netlist(design))
+        assert counts["pool.shm_bytes"] == len(serialize_netlist(design))
     assert pool._segments == {}
 
 
@@ -98,9 +100,10 @@ def test_pickle_transport_matches_serial(design, serial_report, monkeypatch):
     with WorkerPool(2) as pool:
         report = TangledLogicFinder(design, CFG2).run(pool=pool)
         assert _same_report(report, serial_report)
-        assert pool.stats.pickle_contexts >= 1
-        assert pool.stats.shm_segments == 0
-        per_batch = pool.stats.context_bytes / pool.stats.context_shipments
+        counts = counter_values(pool.metrics.snapshot())
+        assert counts["pool.pickle_contexts"] >= 1
+        assert counts["pool.shm_segments"] == 0
+        per_batch = counts["pool.context_bytes"] / counts["pool.context_shipments"]
         assert per_batch > 10_000  # the full payload, linear in design size
 
 
@@ -113,9 +116,10 @@ def test_file_transport_matches_serial(design, serial_report, tmp_path):
         report = TangledLogicFinder(packed, CFG2).run(pool=pool)
         assert _same_report(report, serial_report)
         # Workers mmap the pack file itself: no segment, tiny descriptor.
-        assert pool.stats.file_contexts >= 1
-        assert pool.stats.shm_segments == 0
-        per_batch = pool.stats.context_bytes / pool.stats.context_shipments
+        counts = counter_values(pool.metrics.snapshot())
+        assert counts["pool.file_contexts"] >= 1
+        assert counts["pool.shm_segments"] == 0
+        per_batch = counts["pool.context_bytes"] / counts["pool.context_shipments"]
         assert per_batch < 4096
 
 
@@ -145,8 +149,9 @@ def test_scalar_backend_forces_pickle_transport(design, serial_report, monkeypat
     with WorkerPool(2) as pool:
         report = TangledLogicFinder(design, CFG2).run(pool=pool)
         assert _same_report(report, serial_report)
-        assert pool.stats.pickle_contexts >= 1
-        assert pool.stats.shm_segments == 0
+        counts = counter_values(pool.metrics.snapshot())
+        assert counts["pool.pickle_contexts"] >= 1
+        assert counts["pool.shm_segments"] == 0
 
 
 # ---------------------------------------------------------------- lifecycle
@@ -183,8 +188,9 @@ def test_worker_installs_and_evicts_shm_descriptors(design):
         assert "key-shm" in _WORKER_SEGMENTS
         # Flood the memo: the shm-backed context must be evicted and its
         # mapping closed without errors.
+        bump = ("pickle", pickle.dumps((design, CFG, None)))
         for index in range(8):
-            _worker_run_batch(f"bump{index}", [], context=(design, CFG))
+            _worker_run_batch(f"bump{index}", [], context=bump)
         assert "key-shm" not in _WORKER_CONTEXTS
         assert "key-shm" not in _WORKER_SEGMENTS
     finally:
@@ -263,7 +269,7 @@ def test_pool_respawns_after_idle_worker_death(design, serial_report):
     with WorkerPool(2) as pool:
         first = TangledLogicFinder(design, CFG2).run(pool=pool)
         assert _same_report(first, serial_report)
-        assert pool.stats.respawns == 0
+        assert pool.metrics.counter("pool.respawns").value == 0
 
         processes = dict(pool._executor._processes)
         victim = next(iter(processes.values()))
@@ -275,8 +281,9 @@ def test_pool_respawns_after_idle_worker_death(design, serial_report):
 
         second = TangledLogicFinder(design, CFG2).run(pool=pool)
         assert _same_report(second, serial_report)
-        assert pool.stats.respawns == 1
-        assert pool.stats.restarts == 0  # never billed against max_retries
+        counts = counter_values(pool.metrics.snapshot())
+        assert counts["pool.respawns"] == 1
+        assert counts["pool.restarts"] == 0  # never billed against max_retries
 
 
 def test_pool_workers_dead_is_false_for_healthy_pool(design):
