@@ -10,9 +10,11 @@ Schema::
 
     {
       "benchmark": "<name>",
-      "schema_version": 2,
+      "schema_version": 3,
       "created_unix": <float, seconds>,
       "python": "3.11.7",
+      "cpu_count": 2,
+      "machine": "x86_64",
       "smoke": false,
       "results": {...benchmark-specific payload...},
       "run_report": {...optional repro.obs.RunReport.to_dict()...}
@@ -21,7 +23,9 @@ Schema::
 Schema version 2 adds the optional ``run_report`` key: benchmarks that
 run under tracing embed the per-phase span breakdown and kernel counters
 (see :mod:`repro.obs.report`) so the perf trajectory records *where* the
-time went, not just totals.
+time went, not just totals.  Schema version 3 records the host in every
+file: ``cpu_count`` (``os.cpu_count()``) and ``machine``
+(``platform.machine()``), so a number is never read without its host.
 
 Benchmarks may declare a *headline* metric (a key into ``results``); when
 a new record replaces an old one, :func:`record` compares the two and
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import platform
 import time
 from pathlib import Path
@@ -42,7 +47,7 @@ from typing import Mapping, Optional
 #: Repository root (benchmarks/ lives directly under it).
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: Relative headline-metric drop (higher-is-better) tolerated silently.
 REGRESSION_TOLERANCE = 0.10
@@ -128,6 +133,8 @@ def record(
         "schema_version": SCHEMA_VERSION,
         "created_unix": time.time(),
         "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
+        "machine": platform.machine(),
         "smoke": smoke,
         "results": dict(results),
     }

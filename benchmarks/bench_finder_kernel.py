@@ -1,4 +1,4 @@
-"""Scalar vs array detection kernel on industrial-like designs.
+"""Scalar vs numpy detection kernel on industrial-like designs.
 
 Runs the full three-phase finder under both backends (see
 :mod:`repro.netlist.backend`) on two `generators.industrial` scenarios:
@@ -16,18 +16,26 @@ The 50K scenario is measured in two finder configurations:
 
 * ``exact`` — ``lambda_skip=0``, the paper's exact connection-weight
   algorithm with no update skipping.  This is the acceptance measurement:
-  the array kernel must be **>= 5x** faster than the scalar reference at
+  the numpy backend must be **>= 5x** faster than the scalar reference at
   full scale (the scalar path drowns in per-pin dict updates, O(degree)
   cut-delta recounts and a garbage-clogged lazy heap).
 * ``lambda20`` — the default skip optimization, which shrinks update
-  volume for both backends and narrows the gap (~3x); recorded for
-  transparency, no floor asserted.
+  volume for both backends; recorded for transparency, no floor asserted.
+
+The numpy backend grows its orderings with the native C grower
+(:mod:`repro.finder.native`).  The ``growers_lambda0``/``growers_lambda20``
+rows time it against the Python array fallback
+(:class:`~repro.finder.kernel.ArrayOrderingGrower`) over the same
+orderings of the 50K design (the finder's seed cells at its default
+ordering length),
+asserting identical orderings and telemetry; at full scale the native
+grower must be **>= 10x** faster.
 
 Results are written to ``BENCH_finder_kernel.json`` at the repo root via
 :mod:`benchmarks._record` (the machine-readable perf trajectory).
 
 ``REPRO_BENCH_SMOKE=1`` shrinks both scenarios to CI-smoke size and skips
-the speedup floor (tiny designs cannot amortize anything); the parity
+the speedup floors (tiny designs cannot amortize anything); the parity
 checks always run.
 """
 
@@ -39,7 +47,9 @@ try:
 except ImportError:  # invoked outside the repo root: benchmarks/ is on sys.path
     from _record import record
 from repro.finder.config import FinderConfig
-from repro.finder.finder import TangledLogicFinder
+from repro.finder.finder import TangledLogicFinder, plan_seed_jobs
+from repro.finder.kernel import ArrayOrderingGrower
+from repro.finder.native import NativeOrderingGrower, load_library
 from repro.generators.industrial import IndustrialSpec, generate_industrial
 from repro.netlist.backend import forced_backend
 from repro.obs import RunReport, trace
@@ -85,23 +95,60 @@ def _assert_reports_identical(scalar_report, array_report):
 
 def _measure(netlist, config):
     scalar_seconds, scalar_report = _run_backend(netlist, config, "python")
-    array_seconds, array_report = _run_backend(netlist, config, "numpy")
-    _assert_reports_identical(scalar_report, array_report)
+    numpy_seconds, numpy_report = _run_backend(netlist, config, "numpy")
+    _assert_reports_identical(scalar_report, numpy_report)
     return {
         "cells": netlist.num_cells,
         "nets": netlist.num_nets,
         "num_seeds": config.num_seeds,
         "lambda_skip": config.lambda_skip,
-        "num_gtls": array_report.num_gtls,
-        "gtl_sizes": [gtl.size for gtl in array_report.gtls],
+        "num_gtls": numpy_report.num_gtls,
+        "gtl_sizes": [gtl.size for gtl in numpy_report.gtls],
         "scalar_s": round(scalar_seconds, 4),
-        "array_s": round(array_seconds, 4),
-        "speedup": round(scalar_seconds / max(array_seconds, 1e-9), 2),
+        "numpy_s": round(numpy_seconds, 4),
+        "speedup": round(scalar_seconds / max(numpy_seconds, 1e-9), 2),
+    }
+
+
+def _measure_growers(netlist, config):
+    """Native vs array-fallback grower over the finder's own orderings.
+
+    Both growers are built once outside the timed region, so the array
+    fallback's lazy list tables do not count against it.
+    """
+    seeds = [cell for cell, _ in plan_seed_jobs(netlist, config)]
+    length = config.resolve_order_length(netlist.num_cells)
+    options = dict(lambda_skip=config.lambda_skip, exclude_fixed=config.exclude_fixed)
+    seconds = {}
+    outputs = {}
+    for name, grower_class in (
+        ("native", NativeOrderingGrower), ("array", ArrayOrderingGrower)
+    ):
+        grower_class(netlist, seeds[0], **options)
+        start = time.perf_counter()
+        grown = []
+        for seed in seeds:
+            grower = grower_class(netlist, seed, **options)
+            grown.append((grower.grow(length), grower.telemetry()))
+        seconds[name] = time.perf_counter() - start
+        outputs[name] = grown
+    assert outputs["native"] == outputs["array"]  # orderings and telemetry
+    return {
+        "cells": netlist.num_cells,
+        "lambda_skip": config.lambda_skip,
+        "orderings": len(seeds),
+        "order_length": length,
+        "absorb_steps": sum(len(ordering) for ordering, _ in outputs["native"]),
+        "heap_pushes": sum(t["heap_pushes"] for _, t in outputs["native"]),
+        "heap_compactions": sum(t["heap_compactions"] for _, t in outputs["native"]),
+        "native_s": round(seconds["native"], 4),
+        "array_s": round(seconds["array"], 4),
+        "speedup": round(seconds["array"] / max(seconds["native"], 1e-9), 2),
     }
 
 
 def _measure_tracing(netlist, config):
-    """Traced vs. untraced array run on the same design, back to back.
+    """Traced vs. untraced numpy-backend run on the same design, back to back.
 
     Returns the comparison row and the traced run's :class:`RunReport`.
     The traced report must be bit-identical to the untraced one — the
@@ -161,6 +208,12 @@ def test_finder_kernel_scalar_vs_array():
             big_netlist, FinderConfig(num_seeds=NUM_SEEDS, seed=1)
         ),
     }
+    assert load_library() is not None, "the native grower did not build"
+    for lambda_skip in (0, 20):
+        results[f"growers_lambda{lambda_skip}"] = _measure_growers(
+            big_netlist,
+            FinderConfig(num_seeds=NUM_SEEDS, seed=1, lambda_skip=lambda_skip),
+        )
     tracing_row, run_report = _measure_tracing(
         big_netlist, FinderConfig(num_seeds=NUM_SEEDS, seed=1)
     )
@@ -174,8 +227,15 @@ def test_finder_kernel_scalar_vs_array():
             continue
         print(
             f"{name}: {row['cells']} cells, scalar {row['scalar_s']}s, "
-            f"array {row['array_s']}s, speedup {row['speedup']}x, "
+            f"numpy {row['numpy_s']}s, speedup {row['speedup']}x, "
             f"gtls {row['num_gtls']}"
+        )
+    for lambda_skip in (0, 20):
+        row = results[f"growers_lambda{lambda_skip}"]
+        print(
+            f"growers lambda={lambda_skip}: {row['orderings']} orderings, "
+            f"array {row['array_s']}s, native {row['native_s']}s, "
+            f"speedup {row['speedup']}x"
         )
     print(
         f"tracing: untraced {tracing_row['untraced_s']}s, "
@@ -190,3 +250,6 @@ def test_finder_kernel_scalar_vs_array():
         assert exact["cells"] >= 50_000
         assert exact["num_gtls"] >= 2  # dissolved ROM blocks are recovered
         assert exact["speedup"] >= 5.0
+        # The native grower against its array fallback, same orderings.
+        for lambda_skip in (0, 20):
+            assert results[f"growers_lambda{lambda_skip}"]["speedup"] >= 10.0

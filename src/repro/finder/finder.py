@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Set, Tuple
 from repro.errors import FinderError
 from repro.finder.candidate import CandidateGTL, extract_candidate
 from repro.finder.config import DEFAULT_RENT_EXPONENT, FinderConfig
-from repro.finder.ordering import grow_linear_ordering
+from repro.finder.ordering import grow_linear_ordering, grower_kind
 from repro.finder.prune import prune_overlapping
 from repro.finder.refine import refine_candidate
 from repro.finder.result import GTL, FinderReport
@@ -54,14 +54,16 @@ def _process_seed(
     """Run Phases I-III for one seed cell (independent unit of work).
 
     The kernel backend (CSR arrays vs scalar reference, see
-    :mod:`repro.netlist.backend`) is resolved here once per seed; both
-    backends produce identical outcomes.
+    :mod:`repro.netlist.backend`) and its Phase I grower
+    (:func:`~repro.finder.ordering.grower_kind`) are resolved here once per
+    seed; every combination produces identical outcomes.
     """
     from repro.netlist.backend import resolve_backend
 
     backend = resolve_backend()
     max_length = config.resolve_order_length(netlist.num_cells)
-    with trace.span("finder.seed", seed=seed_cell, backend=backend):
+    grower = grower_kind(backend)
+    with trace.span("finder.seed", seed=seed_cell, backend=backend, grower=grower):
         trace.counter("finder.seeds").add(1)
         with trace.span("finder.phase1"):
             ordering = grow_linear_ordering(

@@ -1,5 +1,12 @@
 """Flat-array Phase I kernel: linear-ordering growth on the CSR netlist view.
 
+:class:`KernelTables` holds the static per-netlist tables every grower
+reads.  The numpy backend grows orderings with
+:class:`~repro.finder.native.NativeOrderingGrower`, the C port of
+:class:`ArrayOrderingGrower` over the same tables;
+:class:`ArrayOrderingGrower` runs only on hosts where the C library cannot
+be built or loaded.
+
 :class:`ArrayOrderingGrower` is the drop-in counterpart of the scalar
 reference :class:`~repro.finder.ordering.LinearOrderingGrower`.  Instead of
 per-neighbor dicts it works on flat state indexed by cell id, laid out once
@@ -23,10 +30,11 @@ with a shadow dict, without paying for the dict.  Updates are applied pin
 by pin in CSR slice order, the reference's exact float accumulation order,
 so orderings, weights and cut deltas are all bit-identical.
 
-The per-cell state lives in flat Python lists rather than numpy arrays: one
-absorb touches only a handful of pins, and list indexing beats numpy scalar
-indexing several times over at that grain.  The vectorized numpy kernels
-take over where whole curves or groups are processed at once
+In this fallback the per-cell state lives in flat Python lists rather than
+numpy arrays: one absorb touches only a handful of pins, and list indexing
+beats numpy scalar indexing several times over at that grain (the native
+grower takes the interpreter out of that loop).  The vectorized numpy
+kernels take over where whole curves or groups are processed at once
 (:func:`~repro.netlist.ops.scan_ordering_curves`,
 :func:`~repro.netlist.ops.group_stats`, CSR BFS connectivity), and the
 static tables here are themselves built by vectorized passes over the CSR
@@ -35,6 +43,7 @@ arrays.
 
 from __future__ import annotations
 
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from typing import Dict, List, Optional
 
@@ -47,12 +56,25 @@ from repro.netlist.hypergraph import Netlist
 _TABLES_KEY = "finder_kernel_tables"
 
 
+def check_seed(netlist: Netlist, seed: int, exclude_fixed: bool) -> None:
+    """Raise :class:`FinderError` unless ``seed`` may start an ordering."""
+    if not 0 <= seed < netlist.num_cells:
+        raise FinderError(f"seed cell {seed} out of range")
+    if exclude_fixed and netlist.cell_is_fixed(seed):
+        raise FinderError(f"seed cell {seed} is fixed and exclude_fixed is set")
+
+
+def _int64(array: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(array, dtype=np.int64)
+
+
 class KernelTables:
     """Immutable per-netlist lookup tables shared by all growers.
 
     Built once per netlist (cached on its derived-object cache) with
-    vectorized passes over the CSR view, then kept as flat Python lists for
-    cheap scalar indexing in the absorb loop.
+    vectorized passes over the CSR view.  The native grower reads them as
+    contiguous int64 buffers (:meth:`native_buffers`); the flat Python list
+    copies the array fallback indexes are built only when it first asks.
     """
 
     def __init__(self, netlist: Netlist) -> None:
@@ -62,19 +84,24 @@ class KernelTables:
         multi = (arrays.net_degrees[arrays.cell_nets] > 1).astype(np.int64)
         running = np.zeros(len(multi) + 1, dtype=np.int64)
         np.cumsum(multi, out=running[1:])
-        degree2 = running[arrays.cell_ptr[1:]] - running[arrays.cell_ptr[:-1]]
-        self.degree2: List[int] = degree2.tolist()
-        self.net_degrees: List[int] = arrays.net_degrees.tolist()
-        self.cell_ptr: List[int] = arrays.cell_ptr.tolist()
-        self.cell_nets: List[int] = arrays.cell_nets.tolist()
+        self.degree2_array = _int64(
+            running[arrays.cell_ptr[1:]] - running[arrays.cell_ptr[:-1]]
+        )
+        self._static_buffers = (
+            _int64(arrays.cell_ptr),
+            _int64(arrays.cell_nets),
+            _int64(arrays.net_degrees),
+            self.degree2_array,
+        )
         # Update CSRs keyed by exclude_fixed: the absorb loop never updates
         # fixed pins, so pre-dropping them removes the per-pin check.  Net
         # *degrees* for the weight formula always use the full CSR.
-        self._update_csr = {}
+        self._update_arrays = {}
+        self._update_lists = {}
 
-    def update_csr(self, exclude_fixed: bool):
-        """``(ptr_list, flat_list)`` of the pin-update CSR."""
-        entry = self._update_csr.get(exclude_fixed)
+    def update_arrays(self, exclude_fixed: bool):
+        """``(ptr, flat)`` int64 arrays of the pin-update CSR."""
+        entry = self._update_arrays.get(exclude_fixed)
         if entry is None:
             arrays = self.arrays
             if exclude_fixed and arrays.fixed_mask.any():
@@ -86,8 +113,38 @@ class KernelTables:
             else:
                 flat = arrays.net_cells
                 ptr = arrays.net_ptr
-            entry = (ptr.tolist(), flat.tolist())
-            self._update_csr[exclude_fixed] = entry
+            entry = (_int64(ptr), _int64(flat))
+            self._update_arrays[exclude_fixed] = entry
+        return entry
+
+    def native_buffers(self, exclude_fixed: bool):
+        """The native grower's tables, in ``grower_new``'s argument order:
+        ``cell_ptr, cell_nets, net_degrees, degree2, update_ptr, update_flat``."""
+        return self._static_buffers + self.update_arrays(exclude_fixed)
+
+    # -- list views for the array fallback -------------------------------
+    @cached_property
+    def degree2(self) -> List[int]:
+        return self.degree2_array.tolist()
+
+    @cached_property
+    def net_degrees(self) -> List[int]:
+        return self.arrays.net_degrees.tolist()
+
+    @cached_property
+    def cell_ptr(self) -> List[int]:
+        return self.arrays.cell_ptr.tolist()
+
+    @cached_property
+    def cell_nets(self) -> List[int]:
+        return self.arrays.cell_nets.tolist()
+
+    def update_csr(self, exclude_fixed: bool):
+        """``(ptr_list, flat_list)`` of the pin-update CSR."""
+        entry = self._update_lists.get(exclude_fixed)
+        if entry is None:
+            entry = tuple(array.tolist() for array in self.update_arrays(exclude_fixed))
+            self._update_lists[exclude_fixed] = entry
         return entry
 
     @classmethod
@@ -112,10 +169,7 @@ class ArrayOrderingGrower:
         lambda_skip: int = 20,
         exclude_fixed: bool = True,
     ) -> None:
-        if not 0 <= seed < netlist.num_cells:
-            raise FinderError(f"seed cell {seed} out of range")
-        if exclude_fixed and netlist.cell_is_fixed(seed):
-            raise FinderError(f"seed cell {seed} is fixed and exclude_fixed is set")
+        check_seed(netlist, seed, exclude_fixed)
         tables = KernelTables.for_netlist(netlist)
         self._tables = tables
         self._lambda_skip = lambda_skip
@@ -331,4 +385,4 @@ class ArrayOrderingGrower:
         self._frontier_count = frontier_count
 
 
-__all__ = ["ArrayOrderingGrower", "KernelTables"]
+__all__ = ["ArrayOrderingGrower", "KernelTables", "check_seed"]

@@ -22,10 +22,12 @@ Implementation notes
   pins outside the group — their per-pin weight contribution is below
   1/21 and barely changes.  The *first* touch of a net is never skipped so
   every reachable cell enters the frontier.
-* :class:`LinearOrderingGrower` is the scalar reference; the default
-  backend is its CSR-array port
-  :class:`~repro.finder.kernel.ArrayOrderingGrower`, which grows
-  bit-identical orderings (see :mod:`repro.netlist.backend`).
+* :class:`LinearOrderingGrower` is the scalar reference.  The numpy
+  backend grows with :class:`~repro.finder.native.NativeOrderingGrower`,
+  a C port of the CSR-array kernel, and falls back to the Python
+  :class:`~repro.finder.kernel.ArrayOrderingGrower` where no C compiler
+  is available; all three grow bit-identical orderings (see
+  :mod:`repro.netlist.backend`).
 """
 
 from __future__ import annotations
@@ -157,6 +159,21 @@ class LinearOrderingGrower:
         self._heap.push(cell, self._weight[cell], float(-self.cut_delta(cell)))
 
 
+def grower_kind(backend: Optional[str] = None) -> str:
+    """The grower :func:`make_grower` builds: ``"native"``, ``"array"`` or
+    ``"python"``.
+
+    The numpy backend's grower is the native one whenever its library
+    builds and loads (:func:`repro.finder.native.load_library`), else the
+    array fallback.
+    """
+    if resolve_backend(backend) == "python":
+        return "python"
+    from repro.finder.native import load_library
+
+    return "native" if load_library() is not None else "array"
+
+
 def make_grower(
     netlist: Netlist,
     seed: int,
@@ -166,16 +183,17 @@ def make_grower(
 ):
     """Instantiate the Phase I grower of the selected backend.
 
-    Both growers expose the same API and produce bit-identical orderings;
-    the array backend is typically much faster on large designs.
+    Every grower exposes the same API and produces bit-identical
+    orderings; the native grower is much the fastest on large designs.
     """
-    if resolve_backend(backend) == "numpy":
-        from repro.finder.kernel import ArrayOrderingGrower
-
-        return ArrayOrderingGrower(
-            netlist, seed, lambda_skip=lambda_skip, exclude_fixed=exclude_fixed
-        )
-    return LinearOrderingGrower(
+    kind = grower_kind(backend)
+    if kind == "native":
+        from repro.finder.native import NativeOrderingGrower as grower_class
+    elif kind == "array":
+        from repro.finder.kernel import ArrayOrderingGrower as grower_class
+    else:
+        grower_class = LinearOrderingGrower
+    return grower_class(
         netlist, seed, lambda_skip=lambda_skip, exclude_fixed=exclude_fixed
     )
 

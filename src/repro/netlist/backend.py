@@ -14,6 +14,13 @@ the two:
 * An explicit ``"numpy"`` / ``"python"`` argument wins over the
   environment, so call sites can pin a backend per call.
 
+Within the numpy backend, the finder's Phase I grower is the native C
+port (:class:`~repro.finder.native.NativeOrderingGrower`) whenever its
+library builds and loads, and the Python
+:class:`~repro.finder.kernel.ArrayOrderingGrower` otherwise.  That choice
+is made from what the host can do, not by a switch: both grow
+bit-identical orderings, so it never changes a result.
+
 Both backends produce identical results: orderings, integer group
 statistics and FM partitions (move sequences, sides, cuts, pass counts)
 are bit-identical by construction, floating-point scores agree to well

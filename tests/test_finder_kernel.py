@@ -1,10 +1,11 @@
 """Parity of the array detection kernel against the scalar reference.
 
 The contract (see :mod:`repro.netlist.backend`): both backends grow
-bit-identical orderings, produce identical integer prefix curves and group
-statistics, score within 1e-9 of each other, and detect the *same* GTL
-cell sets — so detection artifacts and flow caches are shared across
-backends.
+bit-identical orderings (the numpy backend's native grower and its array
+fallback alike, telemetry included), produce identical integer prefix
+curves and group statistics, score within 1e-9 of each other, and detect
+the *same* GTL cell sets — so detection artifacts and flow caches are
+shared across backends.
 """
 
 import random
@@ -13,12 +14,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import FinderError
-from repro.finder import FinderConfig, find_tangled_logic
+from repro.finder import FinderConfig, find_tangled_logic, native
 from repro.finder.candidate import extract_candidate, scan_ordering, score_curve
 from repro.finder.kernel import ArrayOrderingGrower, KernelTables
+from repro.finder.native import NativeOrderingGrower
 from repro.finder.ordering import LinearOrderingGrower, grow_linear_ordering
 from repro.flow.flow import Flow
 from repro.flow.stages import DetectStage
+from repro.generators.industrial import IndustrialSpec, generate_industrial
 from repro.generators.random_gtl import planted_gtl_graph
 from repro.metrics.gtl_score import ScoreContext
 from repro.netlist.backend import forced_backend
@@ -30,7 +33,20 @@ from repro.netlist.ops import (
     scan_ordering_curves,
 )
 from repro.obs.metrics import counter_values
+from repro.service.codec import report_to_dict
 from repro.service.store import ResultStore
+
+GROWER_KINDS = ("native", "array")
+
+
+def _grower_class(kind):
+    """The numpy backend's grower of ``kind``; skips when the native
+    library cannot be built on this host."""
+    if kind == "array":
+        return ArrayOrderingGrower
+    if native.load_library() is None:
+        pytest.skip("native grower library unavailable on this host")
+    return NativeOrderingGrower
 
 
 def _random_netlist(rng, max_cells=32, with_fixed=True):
@@ -63,46 +79,70 @@ def test_kernel_tables_cached_per_netlist(mixed_netlist):
     )
 
 
-def test_grower_api_matches_reference_step_by_step(two_cliques):
+@pytest.mark.parametrize("kind", GROWER_KINDS)
+def test_grower_api_matches_reference_step_by_step(two_cliques, kind):
     reference = LinearOrderingGrower(two_cliques, 0, lambda_skip=0)
-    array = ArrayOrderingGrower(two_cliques, 0, lambda_skip=0)
+    grower = _grower_class(kind)(two_cliques, 0, lambda_skip=0)
     while True:
-        assert array.frontier_size == reference.frontier_size
+        assert grower.frontier_size == reference.frontier_size
         for cell in range(two_cliques.num_cells):
-            assert array.connection_weight(cell) == reference.connection_weight(cell)
-            assert array.cut_delta(cell) == reference.cut_delta(cell)
-        step_reference, step_array = reference.step(), array.step()
-        assert step_array == step_reference
+            assert grower.connection_weight(cell) == reference.connection_weight(cell)
+            assert grower.cut_delta(cell) == reference.cut_delta(cell)
+        step_reference, step_grower = reference.step(), grower.step()
+        assert step_grower == step_reference
         if step_reference is None:
             break
+    assert grower.ordering == reference.ordering
 
 
+@pytest.mark.parametrize("kind", GROWER_KINDS)
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2**31 - 1))
-def test_property_orderings_bit_identical(seed):
+@given(seed=st.integers(0, 2**31 - 1))
+def test_property_orderings_bit_identical(kind, seed):
+    grower_class = _grower_class(kind)
     rng = random.Random(seed)
     netlist = _random_netlist(rng)
     seeds = netlist.movable_cells()
     start = seeds[rng.randrange(len(seeds))]
     for exclude_fixed in (True, False):
         for lambda_skip in (0, 3, 20):
-            scalar = grow_linear_ordering(
-                netlist,
-                start,
-                netlist.num_cells,
-                lambda_skip=lambda_skip,
-                exclude_fixed=exclude_fixed,
-                backend="python",
-            )
-            array = grow_linear_ordering(
-                netlist,
-                start,
-                netlist.num_cells,
-                lambda_skip=lambda_skip,
-                exclude_fixed=exclude_fixed,
-                backend="numpy",
-            )
-            assert array == scalar
+            options = dict(lambda_skip=lambda_skip, exclude_fixed=exclude_fixed)
+            scalar = LinearOrderingGrower(netlist, start, **options)
+            grower = grower_class(netlist, start, **options)
+            array = ArrayOrderingGrower(netlist, start, **options)
+            assert grower.grow(netlist.num_cells) == scalar.grow(netlist.num_cells)
+            array.grow(netlist.num_cells)
+            assert grower.telemetry() == array.telemetry()
+
+
+def test_native_grower_matches_array_through_heap_compactions():
+    netlist, _ = generate_industrial(
+        IndustrialSpec(glue_gates=1000, rom_blocks=((7, 32),)), seed=5
+    )
+    grower_class = _grower_class("native")
+    compactions = 0
+    for start in netlist.movable_cells()[:3]:
+        for lambda_skip in (0, 20):
+            grower = grower_class(netlist, start, lambda_skip=lambda_skip)
+            array = ArrayOrderingGrower(netlist, start, lambda_skip=lambda_skip)
+            assert grower.grow(netlist.num_cells) == array.grow(netlist.num_cells)
+            assert grower.telemetry() == array.telemetry()
+            compactions += grower.telemetry()["heap_compactions"]
+    assert compactions > 0
+
+
+def test_native_and_fallback_reports_identical(small_planted, monkeypatch):
+    netlist, _ = small_planted
+    _grower_class("native")  # skips on a host without the library
+    config = FinderConfig(num_seeds=6, seed=3, min_gtl_size=20)
+    with forced_backend("numpy"):
+        native_report = report_to_dict(find_tangled_logic(netlist, config))
+        monkeypatch.setattr(native, "_library", None)  # as if the build failed
+        fallback_report = report_to_dict(find_tangled_logic(netlist, config))
+    native_report.pop("runtime_seconds")
+    fallback_report.pop("runtime_seconds")
+    assert native_report["gtls"]
+    assert native_report == fallback_report
 
 
 # ---------------------------------------------------------------- curves
