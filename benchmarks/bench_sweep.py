@@ -1,23 +1,25 @@
-"""Sharded sweep scaling: coordinator wall-clock vs shard count.
+"""Sweep scaling: wall-clock of one pooled sweep vs worker count.
 
 One deduplicated sweep (2 designs x a 4-point config grid = 8 distinct
-deterministic jobs) executed cold through :class:`SweepCoordinator` at 1,
-2 and 4 shards, each against a fresh cache. Two claims:
+deterministic jobs) executed cold through :func:`run_sweep` on a
+:class:`BatchRunner` with 1, 2 and 4 workers, each against a fresh cache.
+Two claims:
 
-* **Parity** — the merged point rows are bit-identical at every shard
-  count (modulo wall-clock fields). Asserted at every scale; this is the
-  same invariant CI's sharded-parity smoke checks through the CLI.
-* **Scaling** — with 4 worker processes the cold sweep is **>= 2x**
-  faster than one process. Shard parallelism is process parallelism, so
-  the floor is only asserted at full scale on machines with >= 4 CPUs;
-  on smaller hosts the measured ratio is recorded (with ``cpu_count``,
-  so the trajectory stays interpretable) but cannot exceed ~1x and is
-  not an acceptance failure of the coordinator.
+* **Parity** — the point rows are bit-identical at every worker count
+  (modulo wall-clock fields). Asserted at every scale; this is the same
+  invariant CI's sweep parity smoke checks through the CLI.
+* **Scaling** — with 4 workers the cold sweep is **>= 2x** faster than
+  one. Worker parallelism is process parallelism, so the floor is only
+  asserted at full scale on machines with >= 4 CPUs; on smaller hosts
+  the measured ratio is recorded (with ``cpu_count``, so the trajectory
+  stays interpretable) but cannot exceed the CPU count and is not an
+  acceptance failure.
 
-Results land in ``BENCH_sweep.json`` (headline: ``speedup_4_shards``),
-with the 4-shard run's :class:`RunReport` embedded so the record shows
-the per-shard span breakdown (``sweep.shard``) and merge/plan phases.
-``REPRO_BENCH_SMOKE=1`` shrinks the designs and skips the floor.
+Results land in ``BENCH_sweep.json`` (headline: ``speedup_4_workers``),
+with the 4-worker run's :class:`RunReport` embedded so the record shows
+the span breakdown (``pool.task`` with the workers' seeds under it,
+``service.job`` reduce/store). ``REPRO_BENCH_SMOKE=1`` shrinks the designs
+and skips the floor.
 """
 
 import os
@@ -31,7 +33,9 @@ from repro.finder.config import FinderConfig
 from repro.generators.random_gtl import planted_gtl_graph
 from repro.obs import RunReport, trace
 from repro.service.aggregate import aggregate_sweep, point_rows
-from repro.service.coordinator import SweepCoordinator
+from repro.service.jobs import BatchRunner
+from repro.service.store import ResultStore
+from repro.service.sweep import run_sweep
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
@@ -44,10 +48,10 @@ else:
     BASE = FinderConfig(num_seeds=16, seed=7)
     GRID = {"lambda_skip": [0, 10], "num_seeds": [16, 24]}
 
-SHARD_COUNTS = (1, 2, 4)
+WORKER_COUNTS = (1, 2, 4)
 
-#: Full-scale floor: a 4-shard cold sweep on >= 4 CPUs must at least
-#: halve the single-process wall clock.
+#: Full-scale floor: a 4-worker cold sweep on >= 4 CPUs must at least
+#: halve the 1-worker wall clock.
 SPEEDUP_FLOOR = 2.0
 
 
@@ -69,49 +73,48 @@ def _comparable_rows(outcome):
     return rows
 
 
-def _run_cold(designs, num_shards, cache_dir):
+def _run_cold(designs, workers, cache_dir):
     start = time.perf_counter()
-    outcome = SweepCoordinator(num_shards, cache_dir=cache_dir).run(
-        designs, BASE, GRID
-    )
+    with ResultStore(cache_dir) as store, BatchRunner(
+        workers=workers, store=store
+    ) as runner:
+        outcome = run_sweep(designs, BASE, GRID, runner)
     seconds = time.perf_counter() - start
     assert all(result.ok for result in outcome.job_results)
-    assert not outcome.failed_shards
     return outcome, seconds
 
 
 def run(tmp_dir):
-    designs = _designs()
     reference_rows = None
     seconds_by_count = {}
     run_report = None
 
-    for num_shards in SHARD_COUNTS:
-        cache_dir = os.path.join(tmp_dir, f"cache-{num_shards}")
-        if num_shards == max(SHARD_COUNTS):
+    for workers in WORKER_COUNTS:
+        # Fresh design objects per count: nothing memoized on them by an
+        # earlier count (fingerprints, derived caches) is reused.
+        designs = _designs()
+        cache_dir = os.path.join(tmp_dir, f"cache-{workers}")
+        if workers == max(WORKER_COUNTS):
             trace.enable()
             try:
-                outcome, seconds = _run_cold(designs, num_shards, cache_dir)
+                outcome, seconds = _run_cold(designs, workers, cache_dir)
                 run_report = RunReport.from_tracer()
             finally:
                 trace.disable()
         else:
-            outcome, seconds = _run_cold(designs, num_shards, cache_dir)
-        seconds_by_count[num_shards] = seconds
+            outcome, seconds = _run_cold(designs, workers, cache_dir)
+        seconds_by_count[workers] = seconds
 
         rows = _comparable_rows(outcome)
         if reference_rows is None:
             reference_rows = rows
         else:
             assert rows == reference_rows, (
-                f"{num_shards}-shard rows diverge from 1-shard rows"
+                f"{workers}-worker rows diverge from 1-worker rows"
             )
         aggregate = aggregate_sweep(outcome)
         assert aggregate.failed_points == 0
-        print(
-            f"shards={num_shards}: {seconds:.2f}s cold "
-            f"({aggregate.jobs} job(s), {len(aggregate.shards)} shard(s))"
-        )
+        print(f"workers={workers}: {seconds:.2f}s cold ({aggregate.jobs} job(s))")
 
     cpu_count = os.cpu_count() or 1
     speedup = round(seconds_by_count[1] / max(seconds_by_count[4], 1e-9), 2)
@@ -119,32 +122,32 @@ def run(tmp_dir):
         "jobs": len(reference_rows),
         "cells": list(DESIGN_CELLS),
         "cpu_count": cpu_count,
-        "seconds_by_shards": {
+        "seconds_by_workers": {
             str(count): round(seconds, 4)
             for count, seconds in seconds_by_count.items()
         },
-        "speedup_4_shards": speedup,
-        "parity": True,  # asserted above at every shard count
+        "speedup_4_workers": speedup,
+        "parity": True,  # asserted above at every worker count
         "smoke": SMOKE,
     }
     if not SMOKE and cpu_count >= 4:
         assert speedup >= SPEEDUP_FLOOR, (
-            f"4-shard cold sweep only {speedup}x faster than 1 shard "
+            f"4-worker cold sweep only {speedup}x faster than 1 worker "
             f"on {cpu_count} CPUs (floor {SPEEDUP_FLOOR}x)"
         )
     record(
         "sweep",
         results,
         smoke=SMOKE,
-        headline="speedup_4_shards",
+        headline="speedup_4_workers",
         higher_is_better=True,
         run_report=run_report.to_dict() if run_report else None,
     )
-    print(f"speedup at 4 shards: x{speedup} ({cpu_count} CPU(s))")
+    print(f"speedup at 4 workers: x{speedup} ({cpu_count} CPU(s))")
     return results
 
 
-def test_sweep_shard_scaling(tmp_path):
+def test_sweep_worker_scaling(tmp_path):
     """Pytest entry point (CI smoke runs this with REPRO_BENCH_SMOKE=1)."""
     run(str(tmp_path))
 

@@ -15,15 +15,15 @@ Subcommands:
 * ``batch``        — run a manifest of detection jobs through the batch
   service (shared worker pool, persistent result cache).
 * ``sweep``        — expand a parameter grid over a set of designs,
-  deduplicate identical jobs, and run them through the batch service;
-  ``--shards N`` splits the plan across parallel worker processes with
-  per-shard result stores (``--via-daemon`` dispatches the shards to a
-  running daemon as priority-class-``sweep`` jobs instead), and
-  ``--aggregate`` publishes per-axis/per-shard statistics as JSON.
+  deduplicate identical jobs, and run them through the batch service
+  (``--workers N`` worker processes shared by every job);
+  ``--via-daemon --shards N`` instead submits the plan to a running daemon
+  as N shards of priority-class-``sweep`` jobs, and ``--aggregate``
+  publishes per-axis/per-shard statistics as JSON.
 * ``store``        — result-store maintenance: ``stats`` (entries per
   artifact kind), ``prune --keep N`` (LRU eviction) and ``merge`` (fold
-  stores, e.g. per-shard sweep stores, into one, reconciling rows by
-  fingerprint, schema revision and use-count).
+  stores, e.g. the caches of sweeps run on different hosts, into one,
+  reconciling rows by fingerprint, schema revision and use-count).
 * ``flow run``     — execute a declared multi-stage flow manifest
   (detect / partition / place / congestion / soft_blocks / resynthesis)
   over one or more designs, with per-stage fingerprint caching.
@@ -50,9 +50,9 @@ Examples::
     tangled-logic generate ispd --scale 0.25 --out bench/
     tangled-logic experiment table1 --scale 0.1
     tangled-logic batch jobs.json --workers 4 --cache-dir .repro-cache
-    tangled-logic sweep sweep.json --jsonl points.jsonl
-    tangled-logic sweep sweep.json --shards 4 --aggregate stats.json
-    tangled-logic store merge .repro-cache .repro-cache/shards/shard-*
+    tangled-logic sweep sweep.json --workers 4 --jsonl points.jsonl
+    tangled-logic sweep sweep.json --via-daemon --shards 4 --aggregate stats.json
+    tangled-logic store merge .repro-cache host-a/.repro-cache host-b/.repro-cache
     tangled-logic store prune --cache-dir .repro-cache --keep 1000
     tangled-logic flow run flow.json --cache-dir .repro-cache --workers 4
     tangled-logic flow run flow.json --trace trace.jsonl --profile
@@ -423,7 +423,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _sweep_table(outcome):
-    """Table headers + rows of one sweep outcome (sharded or not)."""
+    """Table headers + rows of one sweep outcome (local or via a daemon)."""
     headers = [
         "design", "point", "gtls", "best size", "best score", "rent p", "cache", "time",
     ]
@@ -482,12 +482,18 @@ def _parse_sweep_manifest(args: argparse.Namespace):
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.errors import ServiceError
     from repro.service.aggregate import point_rows
     from repro.service.sweep import run_sweep
 
+    if args.shards != 1 and not args.via_daemon:
+        raise ServiceError(
+            "--shards needs --via-daemon; run a local sweep in parallel "
+            "with --workers N"
+        )
     designs, base, grid, design_paths = _parse_sweep_manifest(args)
-    if args.shards > 1 or args.via_daemon:
-        return _cmd_sweep_sharded(args, designs, base, grid, design_paths)
+    if args.via_daemon:
+        return _cmd_sweep_daemon(args, designs, base, grid, design_paths)
 
     def execute(runner):
         outcome = run_sweep(designs, base, grid, runner)
@@ -500,17 +506,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return _run_service_command(args, execute)
 
 
-def _cmd_sweep_sharded(args, designs, base, grid, design_paths) -> int:
-    """The coordinator path of ``sweep``: ``--shards N`` / ``--via-daemon``."""
+def _cmd_sweep_daemon(args, designs, base, grid, design_paths) -> int:
+    """``sweep --via-daemon``: the plan's shards submitted to a daemon."""
     from repro.service.aggregate import point_rows
     from repro.service.coordinator import SweepCoordinator
     from repro.utils.tables import format_table
 
     def progress(event) -> None:
-        if event.kind == "shard-start":
-            print(f"[shard {event.shard_id}] started "
-                  f"({event.num_jobs} job(s))", file=sys.stderr)
-        elif event.kind == "shard-done":
+        if event.kind == "shard-done":
             status = f"FAILED: {event.error}" if event.error else "done"
             print(f"[shard {event.shard_id}] {status} "
                   f"({event.done_shards}/{event.total_shards} shard(s))",
@@ -518,12 +521,8 @@ def _cmd_sweep_sharded(args, designs, base, grid, design_paths) -> int:
 
     coordinator = SweepCoordinator(
         num_shards=args.shards,
-        cache_dir=_cache_dir(args),
-        use_cache=not args.no_cache,
-        workers=args.workers,
-        max_shard_attempts=args.shard_attempts,
+        daemon_socket=args.socket,
         progress=None if args.quiet else progress,
-        daemon_socket=args.socket if args.via_daemon else None,
     )
     obs = _ObsSession(args, "cli.sweep")
     with obs:
@@ -535,11 +534,9 @@ def _cmd_sweep_sharded(args, designs, base, grid, design_paths) -> int:
     for stats in outcome.shard_stats:
         status = "ok" if stats.ok else f"FAILED ({stats.error})"
         print(f"shard {stats.shard_id}: {stats.num_jobs} job(s), "
-              f"{stats.attempts} attempt(s), {stats.wall_seconds:.2f}s, "
-              f"{stats.cache_hits} hit(s), {status}")
-    print(f"mode: {outcome.mode}, {outcome.wall_seconds:.2f}s wall"
-          + (f"; merged shard stores: {outcome.merge_stats.summary()}"
-             if outcome.merge_stats is not None else ""))
+              f"{stats.wall_seconds:.2f}s, {stats.cache_hits} hit(s), {status}")
+    print(f"via daemon: {len(outcome.shard_stats)} shard(s), "
+          f"{outcome.wall_seconds:.2f}s wall")
     _publish_aggregate(args, outcome)
     obs.emit()
     _emit_jsonl(args, point_rows(outcome))
@@ -1043,15 +1040,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep_p = sub.choices["sweep"]
     sweep_p.add_argument("--shards", type=int, default=1,
-                         help="split the deduplicated plan into N shards "
-                         "executed by parallel worker processes over "
-                         "per-shard stores (merged back afterwards)")
-    sweep_p.add_argument("--shard-attempts", type=int, default=2,
-                         help="dispatch attempts per shard before its jobs "
-                         "are reported failed")
+                         help="with --via-daemon: split the deduplicated "
+                         "plan into N shards, each submitted by its own "
+                         "thread under its own job group")
     sweep_p.add_argument("--via-daemon", action="store_true",
-                         help="dispatch shards as priority-class-sweep jobs "
-                         "to a running daemon instead of local processes")
+                         help="submit the plan as priority-class-sweep jobs "
+                         "to a running daemon instead of running it here")
     _add_options(sweep_p, "--socket")
     sweep_p.add_argument("--aggregate", default="",
                          help="write aggregate sweep stats (per-axis "
@@ -1071,8 +1065,8 @@ def build_parser() -> argparse.ArgumentParser:
     store_prune.set_defaults(func=_cmd_store_prune)
     store_merge = store_sub.add_parser(
         "merge",
-        help="merge result stores row-by-row (e.g. shard stores into the "
-        "main store): new rows copied, identical rows' usage combined, "
+        help="merge result stores row-by-row (e.g. caches filled on other "
+        "hosts): new rows copied, identical rows' usage combined, "
         "conflicts resolved by use-count then recency",
     )
     store_merge.add_argument("dest", help="destination cache directory")

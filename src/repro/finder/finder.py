@@ -4,9 +4,11 @@ Each random seed runs Phases I-III independently — the paper exploits this
 with 8 pthreads; here seed runs are distributed over a
 :class:`repro.service.pool.WorkerPool` when ``config.workers > 1`` (default
 serial, which is deterministic and has no pickling overhead for small
-designs).  Batch drivers (:class:`repro.service.jobs.BatchRunner`) pass a
-persistent pool into :meth:`TangledLogicFinder.run` so many detections share
-one set of worker processes.
+designs).  The batch runner (:class:`repro.service.jobs.BatchRunner`)
+plans every job with :func:`plan_seed_jobs`, hands all their seeds to one
+persistent pool in one call and reduces each job with
+:func:`report_from_outcomes`, so many detections share one set of worker
+processes without idling between jobs.
 
 Rent-exponent handling: Phase II estimates a Rent exponent per ordering (the
 paper's estimator).  The finder averages those into a netlist-level exponent
@@ -31,7 +33,6 @@ from repro.metrics.gtl_score import ScoreContext
 from repro.netlist.hypergraph import Netlist
 from repro.obs import trace
 from repro.utils.rng import ensure_rng
-from repro.utils.timer import Timer
 
 if TYPE_CHECKING:  # import cycle: service.pool executes this module's seeds
     from repro.service.pool import WorkerPool
@@ -230,7 +231,6 @@ def run_seed_jobs(
     config: FinderConfig,
     jobs: Sequence[Tuple[int, int]],
     pool: Optional["WorkerPool"] = None,
-    pool_key: Optional[str] = None,
 ) -> List[_SeedOutcome]:
     """Run ``(seed_cell, rng_seed)`` jobs; outcomes in job order.
 
@@ -238,15 +238,40 @@ def run_seed_jobs(
     ``config.workers > 1`` and there is more than one job; else serially.
     """
     if pool is not None:
-        return pool.run_seed_jobs(netlist, config, jobs, key=pool_key)
+        return pool.run_seed_jobs([(netlist, config, jobs)])[0]
     if config.workers > 1 and len(jobs) > 1:
         from repro.service.pool import WorkerPool
 
-        # The fixed key skips content hashing: the pool lives for exactly
-        # one (netlist, config) context, so no collision is possible.
+        # The pool keys an unhashed netlist by object, so this one-shot
+        # run never pays for a content hash.
         with WorkerPool(min(config.workers, len(jobs))) as ephemeral:
-            return ephemeral.run_seed_jobs(netlist, config, jobs, key="single-run")
+            return ephemeral.run_seed_jobs([(netlist, config, jobs)])[0]
     return _process_batch(netlist, config, jobs)
+
+
+def report_from_outcomes(
+    netlist: Netlist,
+    config: FinderConfig,
+    outcomes: Sequence[_SeedOutcome],
+    started: float,
+) -> FinderReport:
+    """Reduce per-seed ``outcomes`` into the finder's report.
+
+    ``runtime_seconds`` runs from ``started`` (a :func:`trace.clock`
+    reading) to the end of the reduce.
+    """
+    gtls, global_rent, num_candidates, orderings, rent_fallback = (
+        reduce_outcomes(netlist, config, outcomes)
+    )
+    return FinderReport(
+        gtls=gtls,
+        config=config,
+        rent_exponent=global_rent,
+        num_orderings=orderings,
+        num_candidates=num_candidates,
+        runtime_seconds=trace.clock() - started,
+        rent_fallback=rent_fallback,
+    )
 
 
 class TangledLogicFinder:
@@ -270,42 +295,22 @@ class TangledLogicFinder:
         self.last_outcomes: List[_SeedOutcome] = []
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        pool: Optional["WorkerPool"] = None,
-        pool_key: Optional[str] = None,
-    ) -> FinderReport:
+    def run(self, pool: Optional["WorkerPool"] = None) -> FinderReport:
         """Execute Phases I-III for all seeds and return the report.
 
         Args:
             pool: a persistent :class:`repro.service.pool.WorkerPool` to run
                 the seed trials on; ``None`` executes serially or, when
                 ``config.workers > 1``, on an ephemeral pool.
-            pool_key: context key identifying ``(netlist, config)`` inside
-                ``pool`` (batch drivers pass the job fingerprint so the
-                netlist is shipped to the workers only once).
         """
         config = self.config
-        with Timer() as timer, trace.span(
-            "finder.run", seeds=config.num_seeds
-        ):
+        with trace.span("finder.run", seeds=config.num_seeds):
+            started = trace.clock()
             jobs = plan_seed_jobs(self.netlist, config)
-            outcomes = run_seed_jobs(self.netlist, config, jobs, pool, pool_key)
+            outcomes = run_seed_jobs(self.netlist, config, jobs, pool)
             self.last_jobs = list(jobs)
             self.last_outcomes = list(outcomes)
-            gtls, global_rent, num_candidates, orderings, rent_fallback = (
-                reduce_outcomes(self.netlist, config, outcomes)
-            )
-
-        return FinderReport(
-            gtls=gtls,
-            config=config,
-            rent_exponent=global_rent,
-            num_orderings=orderings,
-            num_candidates=num_candidates,
-            runtime_seconds=timer.elapsed,
-            rent_fallback=rent_fallback,
-        )
+            return report_from_outcomes(self.netlist, config, outcomes, started)
 
 
 def find_tangled_logic(

@@ -207,11 +207,10 @@ def run_traced(
     netlist: Netlist,
     config: FinderConfig,
     pool: Optional[Any] = None,
-    pool_key: Optional[str] = None,
 ) -> Tuple[FinderReport, SeedTrace]:
     """One full finder run, returning the report plus its seed trace."""
     finder = TangledLogicFinder(netlist, config)
-    report = finder.run(pool=pool, pool_key=pool_key)
+    report = finder.run(pool=pool)
     seed_trace = SeedTrace(
         netlist_fingerprint=fingerprint_netlist(netlist),
         config=config,
@@ -296,7 +295,6 @@ def incremental_detect(
     halo: int = 0,
     full_threshold: float = DEFAULT_FULL_THRESHOLD,
     pool: Optional[Any] = None,
-    pool_key: Optional[str] = None,
 ) -> IncrementalResult:
     """Patch a traced base run onto the edited netlist ``new``.
 
@@ -333,7 +331,7 @@ def incremental_detect(
 
         def _full(reason: str, region: Optional[DirtyRegion] = None) -> IncrementalResult:
             trace.counter("incremental.full_fallbacks").add(1)
-            report, new_trace = run_traced(new, config, pool=pool, pool_key=pool_key)
+            report, new_trace = run_traced(new, config, pool=pool)
             return IncrementalResult(
                 report=report,
                 trace=new_trace,
@@ -387,7 +385,7 @@ def incremental_detect(
             merged: List[_SeedOutcome] = list(seed_trace.outcomes)
             if dirty_indices:
                 recomputed = run_seed_jobs(
-                    new, config, [jobs[i] for i in dirty_indices], pool, pool_key
+                    new, config, [jobs[i] for i in dirty_indices], pool
                 )
                 for index, outcome in zip(dirty_indices, recomputed):
                     merged[index] = outcome
@@ -498,7 +496,6 @@ def detect_with_reuse(
     halo: int = 0,
     full_threshold: float = DEFAULT_FULL_THRESHOLD,
     pool: Optional[Any] = None,
-    pool_key: Optional[str] = None,
 ) -> IncrementalResult:
     """Detect on ``netlist``, reusing whatever the store makes sound.
 
@@ -517,7 +514,7 @@ def detect_with_reuse(
     """
     deterministic = config.seed is not None
     if store is None or not deterministic:
-        report, seed_trace = run_traced(netlist, config, pool=pool, pool_key=pool_key)
+        report, seed_trace = run_traced(netlist, config, pool=pool)
         return IncrementalResult(
             report=report,
             trace=seed_trace,
@@ -541,10 +538,10 @@ def detect_with_reuse(
         netlist, config, store,
         base=base, base_fingerprint=base_fingerprint, delta=delta,
         netlist_fp=netlist_fp, halo=halo, full_threshold=full_threshold,
-        pool=pool, pool_key=pool_key,
+        pool=pool,
     )
     if result is None:
-        report, seed_trace = run_traced(netlist, config, pool=pool, pool_key=pool_key)
+        report, seed_trace = run_traced(netlist, config, pool=pool)
         result = IncrementalResult(
             report=report,
             trace=seed_trace,
@@ -569,7 +566,6 @@ def _try_incremental(
     halo: int,
     full_threshold: float,
     pool: Optional[Any],
-    pool_key: Optional[str],
 ) -> Optional[IncrementalResult]:
     """Resolve a usable base + trace and patch; ``None`` when there is none."""
     base_fp = base_fingerprint
@@ -599,7 +595,7 @@ def _try_incremental(
     return incremental_detect(
         base, netlist, seed_trace, config,
         delta=delta, halo=halo, full_threshold=full_threshold,
-        pool=pool, pool_key=pool_key,
+        pool=pool,
     )
 
 

@@ -744,7 +744,6 @@ class ServerDaemon:
                 base=base_netlist,
                 delta=delta,
                 pool=self.pool,
-                pool_key=record.fingerprint,
             )
         except ReproError as error:
             raise ServerError(str(error)) from error

@@ -7,17 +7,18 @@ Turns the one-shot in-process finder into a batch service:
 * :mod:`repro.service.codec` — lossless JSON codecs for finder reports.
 * :mod:`repro.service.store` — persistent SQLite result store with
   hit/miss accounting in its ``metrics`` registry.
-* :mod:`repro.service.pool` — a reusable worker pool that ships each
-  netlist to the workers once and then streams bare seed batches.
+* :mod:`repro.service.pool` — the one owner of worker processes: a
+  reusable pool that ships each netlist to the workers once and then
+  streams bare seed batches, many detections per call.
 * :mod:`repro.service.jobs` — ``DetectionJob``/``JobResult`` records and
-  the retrying, cache-consulting ``BatchRunner``.
+  the cache-consulting ``BatchRunner``, which pipelines every missed job
+  through one pool call.
 * :mod:`repro.service.sweep` — parameter-grid expansion with
   fingerprint-level job deduplication.
 * :mod:`repro.service.shard` — stable fingerprint-keyed partitioning of a
   sweep plan into balanced shards.
-* :mod:`repro.service.coordinator` — sharded sweep dispatch: per-shard
-  worker processes over per-shard stores (or priority-class-``sweep``
-  daemon submits), retry/failure accounting, store merge-back.
+* :mod:`repro.service.coordinator` — daemon sweep dispatch: shards
+  submitted as priority-class-``sweep`` jobs, per-shard accounting.
 * :mod:`repro.service.aggregate` — sweep aggregation/publishing: canonical
   per-point rows, per-axis summaries, per-shard wall-clock stats.
 
@@ -60,7 +61,6 @@ from repro.service.coordinator import (
     ShardStats,
     ShardedSweepOutcome,
     SweepCoordinator,
-    run_sharded_sweep,
 )
 from repro.service.aggregate import (
     SweepAggregate,
@@ -97,7 +97,6 @@ __all__ = [
     "SweepCoordinator",
     "ShardStats",
     "ShardedSweepOutcome",
-    "run_sharded_sweep",
     "SweepAggregate",
     "aggregate_sweep",
     "point_rows",

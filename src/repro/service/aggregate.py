@@ -1,18 +1,21 @@
 """Sweep aggregation and publishing (the results-publisher layer).
 
 Modelled on opensearch-benchmark's ``aggregator.py`` +
-``results_publisher.py`` split: the coordinator produces a
-:class:`~repro.service.sweep.SweepOutcome` (or its sharded subclass) in
-plan point order, and this module turns it into publishable artifacts —
+``results_publisher.py`` split: a sweep produces a
+:class:`~repro.service.sweep.SweepOutcome` (or, dispatched to a daemon,
+its sharded subclass) in plan point order, and this module turns it into
+publishable artifacts —
 
-* :func:`point_rows` — the canonical per-point JSONL rows.  Both the
-  single-process ``repro sweep`` and every sharded mode go through this
-  one builder, which is what makes "4-shard output is bit-identical to
-  the unsharded sweep" a diffable property rather than a hope.
+* :func:`point_rows` — the canonical per-point JSONL rows.  Local sweeps
+  at every worker count and daemon-dispatched sweeps all go through this
+  one builder, which is what makes "``--workers 4`` output is
+  bit-identical to ``--workers 1``" a diffable property rather than a
+  hope.
 * :func:`aggregate_sweep` — roll the outcome up into a
   :class:`SweepAggregate`: totals, cache effectiveness, per-shard
-  wall-clock/attempt accounting and per-axis response summaries (how did
-  ``lambda_skip=20`` do across every design and other-axis value?).
+  wall-clock accounting (daemon dispatch) and per-axis response summaries
+  (how did ``lambda_skip=20`` do across every design and other-axis
+  value?).
 * :func:`write_aggregate` — publish the aggregate as one JSON document.
 """
 
@@ -20,13 +23,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.service.codec import report_to_dict
 from repro.service.sweep import SweepOutcome
 
 #: Version stamp of the published aggregate document.
-AGGREGATE_SCHEMA = 1
+AGGREGATE_SCHEMA = 2
 
 
 def point_rows(outcome: SweepOutcome) -> List[Dict[str, Any]]:
@@ -93,9 +96,9 @@ class AxisValueSummary:
 class SweepAggregate:
     """Rolled-up statistics of one executed sweep.
 
-    ``shards``/``mode``/``merge`` are populated when the outcome came from
-    the sharded coordinator; an unsharded sweep aggregates as one implicit
-    shard-less run.
+    ``shards`` is populated and ``mode`` is ``"daemon"`` when the outcome
+    came from the daemon dispatcher; a local sweep aggregates as one
+    shard-less ``"single"`` run.
     """
 
     points: int
@@ -108,7 +111,6 @@ class SweepAggregate:
     mode: str
     per_axis: Dict[str, Dict[str, Dict[str, Any]]]
     shards: List[Dict[str, Any]] = field(default_factory=list)
-    merge: Optional[Dict[str, Any]] = None
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -122,7 +124,6 @@ class SweepAggregate:
             "mode": self.mode,
             "per_axis": self.per_axis,
             "shards": self.shards,
-            "merge": self.merge,
         }
 
     def summary(self) -> str:
@@ -154,8 +155,8 @@ def aggregate_sweep(outcome: SweepOutcome) -> SweepAggregate:
             )
             summary.add(result)
 
-    # Sharded outcomes carry their own accounting; plain outcomes fall back
-    # to job-result counters.
+    # Daemon-dispatched outcomes carry per-shard accounting; local ones
+    # fall back to job-result counters.
     shard_stats = getattr(outcome, "shard_stats", None) or []
     if shard_stats:
         cache_hits = sum(stats.cache_hits for stats in shard_stats)
@@ -163,7 +164,6 @@ def aggregate_sweep(outcome: SweepOutcome) -> SweepAggregate:
     else:
         cache_hits = sum(1 for r in outcome.job_results if r.cached)
         cache_misses = len(outcome.job_results) - cache_hits
-    merge_stats = getattr(outcome, "merge_stats", None)
     return SweepAggregate(
         points=len(outcome.plan.points),
         jobs=len(outcome.plan.jobs),
@@ -172,7 +172,7 @@ def aggregate_sweep(outcome: SweepOutcome) -> SweepAggregate:
         cache_hits=cache_hits,
         cache_misses=cache_misses,
         wall_seconds=float(getattr(outcome, "wall_seconds", 0.0)),
-        mode=str(getattr(outcome, "mode", "single")),
+        mode="daemon" if shard_stats else "single",
         per_axis={
             axis: {
                 value: summary.to_dict()
@@ -181,16 +181,6 @@ def aggregate_sweep(outcome: SweepOutcome) -> SweepAggregate:
             for axis, values in sorted(per_axis.items())
         },
         shards=[stats.to_dict() for stats in shard_stats],
-        merge=(
-            {
-                "copied": merge_stats.copied,
-                "merged": merge_stats.merged,
-                "conflicts": merge_stats.conflicts,
-                "stale_skipped": merge_stats.stale_skipped,
-            }
-            if merge_stats is not None
-            else None
-        ),
     )
 
 

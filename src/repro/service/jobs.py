@@ -2,10 +2,14 @@
 
 A :class:`DetectionJob` names one ``(netlist, config)`` detection;
 :class:`BatchRunner` executes many of them through one shared
-:class:`~repro.service.pool.WorkerPool`, consulting a
-:class:`~repro.service.store.ResultStore` first so previously computed
-(identical-content) jobs are answered from cache, and retrying jobs whose
-workers die.
+:class:`~repro.service.pool.WorkerPool`.  It consults a
+:class:`~repro.service.store.ResultStore` first, so previously computed
+(identical-content) jobs are answered from cache, then hands the seed
+trials of every remaining job to the pool in one pipelined call: the
+workers move straight on to the next job's seeds while the runner reduces
+and stores the previous job.  Jobs that call cannot finish are re-run one
+at a time with retries, so a job whose workers keep dying fails alone.
+``repro batch`` and local ``repro sweep --workers N`` both run here.
 
 Caching is only sound for deterministic runs: a job whose config has
 ``seed=None`` is executed unconditionally and never stored.
@@ -17,18 +21,21 @@ import dataclasses
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ReproError, ServiceError
 from repro.finder.config import FinderConfig
-from repro.finder.finder import TangledLogicFinder
+from repro.finder.finder import (
+    TangledLogicFinder,
+    plan_seed_jobs,
+    report_from_outcomes,
+)
 from repro.finder.result import FinderReport
 from repro.netlist.hypergraph import Netlist
 from repro.obs import trace
 from repro.service.fingerprint import job_fingerprint
 from repro.service.pool import WorkerPool
 from repro.service.store import ResultStore
-from repro.utils.timer import Timer
 
 logger = logging.getLogger(__name__)
 
@@ -124,16 +131,51 @@ class BatchProgress:
 ProgressCallback = Callable[[BatchProgress], None]
 
 
+class _Batch:
+    """Results of one :meth:`BatchRunner.run`, finished in any order and
+    reported to the progress callback in job order.
+
+    Each job's ``runtime_seconds`` is its share of the batch's wall clock:
+    the time since the previous job finished (or the batch started).
+    """
+
+    def __init__(
+        self, jobs: Sequence[DetectionJob], progress: Optional[ProgressCallback]
+    ) -> None:
+        self.jobs = list(jobs)
+        self.results: List[Optional[JobResult]] = [None] * len(self.jobs)
+        self.mark = trace.clock()
+        self._progress = progress
+        self._reported = 0
+
+    def since_mark(self) -> float:
+        return trace.clock() - self.mark
+
+    def finish(self, index: int, result: JobResult) -> None:
+        self.results[index] = result
+        self.mark = trace.clock()
+        total = len(self.results)
+        while self._reported < total and self.results[self._reported] is not None:
+            self._reported += 1
+            if self._progress is not None:
+                self._progress(BatchProgress(
+                    done=self._reported,
+                    total=total,
+                    result=self.results[self._reported - 1],
+                ))
+
+
 class BatchRunner:
     """Execute many detection jobs with shared workers and a shared cache.
 
     Args:
-        workers: parallel seed trials per job (one pool shared by all jobs).
+        workers: worker processes of the pool shared by all jobs.
         store: result store for cache lookup/insert (``None`` = no caching).
         use_cache: master switch; ``False`` bypasses the store entirely —
             no lookups and no inserts (the ``--no-cache`` path).
-        max_attempts: tries per job before recording a failure.
-        progress: callback invoked after every finished job.
+        max_attempts: tries per job before recording a failure, for jobs
+            re-run one at a time (see :meth:`run`).
+        progress: callback invoked after every finished job, in job order.
         pool: inject a pre-built :class:`WorkerPool` (owned by the caller);
             otherwise the runner creates and owns one.
     """
@@ -163,71 +205,136 @@ class BatchRunner:
 
     # ------------------------------------------------------------------
     def run(self, jobs: Sequence[DetectionJob]) -> List[JobResult]:
-        """Execute ``jobs`` in order and return one result per job."""
-        results: List[JobResult] = []
-        total = len(jobs)
-        for job in jobs:
-            result = self.run_one(job)
-            results.append(result)
-            if self.progress is not None:
-                self.progress(BatchProgress(done=len(results), total=total, result=result))
-        return results
+        """Execute ``jobs`` and return one result per job, in job order.
+
+        Every job is looked up in the store first.  The seed jobs of every
+        miss then go to the pool in one call, and each computed job is
+        reduced and stored as soon as it and every earlier miss are back,
+        while the workers carry on with later jobs.  A repeat of a
+        deterministic job waits for its first occurrence and is answered
+        from the store.  Jobs the pipelined call could not finish (a
+        worker that keeps dying, an error raised in a worker) are re-run
+        one job per call, so a failing job fails alone.
+        """
+        batch = _Batch(jobs, self.progress)
+        misses: List[int] = []
+        repeats: Dict[int, List[int]] = {}  # first miss -> later repeats
+        with trace.span("service.lookup", jobs=len(batch.jobs)) as span:
+            first_miss: Dict[str, int] = {}
+            for index, job in enumerate(batch.jobs):
+                if self._cacheable(job) and job.fingerprint in first_miss:
+                    repeats.setdefault(first_miss[job.fingerprint], []).append(index)
+                    continue
+                if not self._answer_from_store(batch, index):
+                    misses.append(index)
+                    if self._cacheable(job):
+                        first_miss[job.fingerprint] = index
+            span.set(hits=sum(result is not None for result in batch.results))
+
+        tasks, owners = [], []
+        for index in misses:
+            job = batch.jobs[index]
+            try:
+                TangledLogicFinder(job.netlist, job.config)  # validates the netlist
+                seed_jobs = plan_seed_jobs(job.netlist, job.config)
+            except ReproError as error:
+                batch.finish(index, JobResult(
+                    job, None, cached=False, runtime_seconds=batch.since_mark(),
+                    error=str(error),
+                ))
+                continue
+            tasks.append((job.netlist, job.config, seed_jobs))
+            owners.append(index)
+
+        def done(position: int, outcomes) -> None:
+            index = owners[position]
+            job = batch.jobs[index]
+            with trace.span("service.job", label=self._label(job), cache="run"):
+                report = report_from_outcomes(
+                    job.netlist, job.config, outcomes, batch.mark
+                )
+                self._store(job, report)
+            batch.finish(index, JobResult(
+                job, report, cached=False, runtime_seconds=report.runtime_seconds,
+            ))
+            for repeat in repeats.pop(index, ()):
+                self._answer_from_store(batch, repeat)
+
+        try:
+            if tasks:
+                self._pool.run_seed_jobs(tasks, on_done=done)
+        except Exception as error:  # worker crash, pickling, OS pressure
+            logger.warning(
+                "pipelined run stopped (%s: %s); re-running unfinished jobs "
+                "one at a time", type(error).__name__, error,
+            )
+        for index, result in enumerate(batch.results):
+            if result is None:
+                batch.finish(index, self._run_alone(batch.jobs[index], batch))
+        return batch.results  # type: ignore[return-value]  # all finished
 
     def run_one(self, job: DetectionJob) -> JobResult:
         """Execute a single job (cache lookup, run, cache insert)."""
-        cacheable = self.use_cache and self.store is not None and job.deterministic
-        cached_report = None
-        job_span = trace.span(
-            "service.job", label=job.label or job.fingerprint[:12]
-        )
-        with job_span, Timer() as timer:
-            if cacheable:
-                try:
-                    cached_report = self.store.get(job.fingerprint)
-                except ServiceError as store_error:
-                    # A flaky cache (lock contention, bad disk) degrades to
-                    # recomputation, never to an aborted batch.
-                    logger.warning(
-                        "cache lookup for %s failed, recomputing: %s",
-                        job.label or job.fingerprint[:12],
-                        store_error,
-                    )
-            if cached_report is None:
-                report, attempts, error = self._execute(job)
-                if report is not None and cacheable:
-                    try:
-                        self.store.put(job.fingerprint, report)
-                    except ServiceError as store_error:
-                        # The expensive work is done; a broken cache (full
-                        # disk, lock contention) must not discard it.
-                        logger.warning(
-                            "result for %s computed but not cached: %s",
-                            job.label or job.fingerprint[:12],
-                            store_error,
-                        )
-            job_span.set(cache="hit" if cached_report is not None else "run")
-        # Timer.elapsed is only assigned on block exit, so every JobResult is
-        # built out here.
-        if cached_report is not None:
-            # The fingerprint ignores execution-only fields (workers), so a
-            # hit may have been computed under a different worker count:
-            # report the *requesting* job's config, not the producer's.
-            if cached_report.config != job.config:
-                cached_report = dataclasses.replace(cached_report, config=job.config)
-            return JobResult(
-                job=job,
-                report=cached_report,
-                cached=True,
-                runtime_seconds=timer.elapsed,
-                attempts=0,
+        return self.run([job])[0]
+
+    # ------------------------------------------------------------------
+    def _cacheable(self, job: DetectionJob) -> bool:
+        return self.use_cache and self.store is not None and job.deterministic
+
+    @staticmethod
+    def _label(job: DetectionJob) -> str:
+        return job.label or job.fingerprint[:12]
+
+    def _answer_from_store(self, batch: _Batch, index: int) -> bool:
+        """Finish job ``index`` from the store; False on a miss."""
+        job = batch.jobs[index]
+        if not self._cacheable(job):
+            return False
+        try:
+            report = self.store.get(job.fingerprint)
+        except ServiceError as store_error:
+            # A flaky cache (lock contention, bad disk) degrades to
+            # recomputation, never to an aborted batch.
+            logger.warning(
+                "cache lookup for %s failed, recomputing: %s",
+                self._label(job), store_error,
             )
+            return False
+        if report is None:
+            return False
+        # The fingerprint ignores execution-only fields (workers), so a hit
+        # may have been computed under a different worker count: report the
+        # *requesting* job's config, not the producer's.
+        if report.config != job.config:
+            report = dataclasses.replace(report, config=job.config)
+        batch.finish(index, JobResult(
+            job, report, cached=True, runtime_seconds=batch.since_mark(),
+            attempts=0,
+        ))
+        return True
+
+    def _store(self, job: DetectionJob, report: FinderReport) -> None:
+        if not self._cacheable(job):
+            return
+        try:
+            self.store.put(job.fingerprint, report)
+        except ServiceError as store_error:
+            # The expensive work is done; a broken cache (full disk, lock
+            # contention) must not discard it.
+            logger.warning(
+                "result for %s computed but not cached: %s",
+                self._label(job), store_error,
+            )
+
+    def _run_alone(self, job: DetectionJob, batch: _Batch) -> JobResult:
+        """Run one job in its own pool call, retrying worker failures."""
+        with trace.span("service.job", label=self._label(job), cache="run"):
+            report, attempts, error = self._execute(job)
+            if report is not None:
+                self._store(job, report)
         return JobResult(
-            job=job,
-            report=report,
-            cached=False,
-            runtime_seconds=timer.elapsed,
-            attempts=attempts,
-            error=error,
+            job, report, cached=False, runtime_seconds=batch.since_mark(),
+            attempts=attempts, error=error,
         )
 
     def _execute(self, job: DetectionJob):
@@ -235,8 +342,9 @@ class BatchRunner:
         last_error: Optional[str] = None
         for attempt in range(1, self.max_attempts + 1):
             try:
-                finder = TangledLogicFinder(job.netlist, job.config)
-                report = finder.run(pool=self._pool, pool_key=job.fingerprint)
+                report = TangledLogicFinder(job.netlist, job.config).run(
+                    pool=self._pool
+                )
                 return report, attempt, None
             except ReproError as error:
                 # Misconfiguration or exhausted pool retries: deterministic,

@@ -1,27 +1,41 @@
-"""Reusable, cache-aware worker pool for seed-parallel detection runs.
+"""The worker pool: the one owner of detection worker processes.
 
 The finder's seed trials are embarrassingly parallel, but a fresh
 ``ProcessPoolExecutor`` per run re-pickles the whole netlist for every chunk
 of every run.  :class:`WorkerPool` keeps one executor alive across runs and
-ships each ``(netlist, config)`` context to the workers **once**: workers
-memoize contexts by key in a process-local cache, and later seed batches for
-the same context travel as bare ``(seed_cell, rng_seed)`` pairs.
+ships each netlist to the workers **once**: workers memoize netlists by
+context key in a process-local cache, and later seed batches for the same
+netlist travel as bare ``(seed_cell, rng_seed)`` pairs plus the small
+:class:`~repro.finder.config.FinderConfig` they run under.
+
+:meth:`WorkerPool.run_seed_jobs` takes the seed jobs of many detections in
+one call and keeps every worker busy across them: the batches of later
+detections are queued while earlier ones compute, and each detection's
+outcomes go to an ``on_done`` callback, in task order, as soon as that
+detection and every earlier one are complete — the batch runner reduces
+and stores a job there while the workers carry on.
+
+Context keys: a netlist's content fingerprint when it is already known
+(memoized by :func:`~repro.service.fingerprint.fingerprint_netlist`, or
+read from a pack header), so every job over one design shares one
+context; otherwise a per-object token.  The pool itself never hashes a
+netlist.
 
 Context transport (the expensive part of that one shipment) has three
-shapes, chosen by :func:`transport_mode` per run:
+shapes, chosen by :func:`transport_mode` per call:
 
 * **shm** (default on the numpy backend): the parent serializes the design
   once into the pack-blob layout of :mod:`repro.io.binfmt`, places it in a
   ``multiprocessing.shared_memory`` segment and sends workers only a small
-  descriptor ``("shm", name, nbytes, config_bytes)``.  Workers map the
-  segment and serve the netlist zero-copy from it — N workers share one
-  physical copy of the arrays instead of holding N pickled replicas.
+  descriptor ``("shm", name, nbytes)``.  Workers map the segment and serve
+  the netlist zero-copy from it — N workers share one physical copy of the
+  arrays instead of holding N pickled replicas.
 * **file**: when the parent's netlist was itself loaded from a pack file
   that still exists with a matching header fingerprint, the descriptor is
-  just ``("file", path, fingerprint, config_bytes)`` and workers mmap the
-  same file through the page cache — nothing is serialized at all.
-* **pickle** (fallback): the classic pickled ``(netlist, config, arrays)``
-  tuple, forced by ``REPRO_PICKLE_TRANSPORT=1`` or by the scalar reference
+  just ``("file", path, fingerprint)`` and workers mmap the same file
+  through the page cache — nothing is serialized at all.
+* **pickle** (fallback): the classic pickled ``(netlist, arrays)`` pair,
+  forced by ``REPRO_PICKLE_TRANSPORT=1`` or by the scalar reference
   backend (whose workers want real tuples, not array views), and used
   automatically if shared-memory creation fails.  Results are bit-identical
   across all three transports.
@@ -30,9 +44,10 @@ Protocol: a batch submitted without its context to a worker that has not
 seen it yet returns a *miss* marker; the pool re-submits that batch with the
 context attached, priming the worker for the rest of its lifetime.  A worker
 crash (``BrokenProcessPool``) restarts the executor and replays the
-unfinished batches, up to ``max_retries`` times.  A worker that died while
-the pool was *idle* (between jobs) is detected up front and the executor is
-respawned lazily before the next run — without consuming a retry.
+unfinished batches, up to :data:`MAX_RETRIES` times per call.  A worker
+that died while the pool was *idle* (between calls) is detected up front
+and the executor is respawned lazily before the next call — without
+consuming a retry.
 
 Outcomes are returned in the original job order, so results are independent
 of both the chunking and the worker count — ``workers=8`` reproduces the
@@ -42,7 +57,7 @@ Metrics: :attr:`WorkerPool.metrics` is the pool's live
 :class:`~repro.obs.metrics.MetricRegistry` of ``pool.*`` counters —
 ``batches`` (including re-submits), ``context_shipments``,
 ``context_misses`` (batches bounced by an unprimed worker), ``restarts``
-(in-task crashes, billed against ``max_retries``), ``respawns`` (idle
+(in-task crashes, billed against :data:`MAX_RETRIES`), ``respawns`` (idle
 deaths, never billed), ``serial_runs``, ``{pickle,shm,file}_contexts``,
 ``transport_fallbacks``, ``shm_segments``, ``shm_bytes``,
 ``descriptor_bytes`` and ``context_bytes`` (what actually crossed the
@@ -57,9 +72,21 @@ import gc
 import os
 import pickle
 import time
+import uuid
+from collections import Counter, deque
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import shared_memory
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Collection,
+    Deque,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import ParseError, ServiceError
 from repro.finder.config import FinderConfig
@@ -69,7 +96,7 @@ from repro.netlist.backend import resolve_backend
 from repro.netlist.hypergraph import Netlist
 from repro.obs import trace
 from repro.obs.metrics import MetricRegistry
-from repro.service.fingerprint import FINGERPRINT_CACHE_KEY, job_fingerprint
+from repro.service.fingerprint import FINGERPRINT_CACHE_KEY
 
 try:
     import resource
@@ -78,6 +105,16 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 
 #: Set to ``1`` to force the pickled-context transport (the pre-shm path).
 PICKLE_TRANSPORT_ENV = "REPRO_PICKLE_TRANSPORT"
+
+#: Seed batches carved per worker from each detection's jobs.
+BATCHES_PER_WORKER = 1
+#: Executor restarts tolerated per :meth:`WorkerPool.run_seed_jobs` call
+#: before it gives up with :class:`ServiceError`.
+MAX_RETRIES = 2
+#: Batches kept submitted per worker: one computing and one queued behind
+#: it, so no worker waits on the parent; the rest wait in the pool's own
+#: queue, where a replayed batch can still jump ahead of them.
+IN_FLIGHT_PER_WORKER = 2
 
 
 def transport_mode() -> str:
@@ -94,12 +131,32 @@ def transport_mode() -> str:
     return "shared"
 
 
-# Worker-process-local context memo: key -> (netlist, config).  Populated the
-# first time a batch arrives with its context attached.  Bounded: only the
-# most recently used contexts are retained, so a long batch over many large
+#: ``Netlist.derived_cache`` key of the per-object context token.
+_TOKEN_CACHE_KEY = "pool-context-token"
+
+
+def context_key(netlist: Netlist) -> str:
+    """The key a netlist's worker context is memoized under.
+
+    Its content fingerprint when one is already known (so two loads of one
+    design share a context), else a token unique to this object.  Never
+    hashes the netlist.
+    """
+    cache = netlist.derived_cache
+    known = cache.get(FINGERPRINT_CACHE_KEY)
+    if known is not None:
+        return known
+    if _TOKEN_CACHE_KEY not in cache:
+        cache[_TOKEN_CACHE_KEY] = f"object-{uuid.uuid4().hex}"
+    return cache[_TOKEN_CACHE_KEY]
+
+
+# Worker-process-local context memo: key -> netlist.  Populated the first
+# time a batch arrives with its context attached.  Bounded: only the most
+# recently used netlists are retained, so a long batch over many large
 # designs holds a few netlists per worker, not all of them; an evicted
 # context that comes back later is re-shipped through the miss protocol.
-_WORKER_CONTEXTS: Dict[str, Tuple[Netlist, FinderConfig]] = {}
+_WORKER_CONTEXTS: Dict[str, Netlist] = {}
 _WORKER_CONTEXT_LIMIT = 4
 
 # key -> the SharedMemory segment backing that context's netlist, closed on
@@ -115,9 +172,13 @@ _MISSING_CONTEXT = "__repro-missing-context__"
 _IndexedJob = Tuple[int, Tuple[int, int]]
 
 # A shipped context is a transport descriptor: ("pickle", payload),
-# ("shm", name, nbytes, config_bytes) or ("file", path, fingerprint,
-# config_bytes).
+# ("shm", name, nbytes) or ("file", path, fingerprint).
 _Context = Tuple[Any, ...]
+
+#: One detection's seed work: ``(netlist, config, [(seed_cell, rng_seed)])``.
+SeedTask = Tuple[Netlist, FinderConfig, Sequence[Tuple[int, int]]]
+#: ``on_done(task_index, outcomes)``.
+DoneCallback = Callable[[int, List[_SeedOutcome]], None]
 
 
 def _close_segment(segment: shared_memory.SharedMemory) -> bool:
@@ -147,31 +208,31 @@ def _evict_worker_context(key: str) -> None:
         ]
 
 
-def _install_context(key: str, context: _Context) -> Tuple[Netlist, FinderConfig]:
+def _install_context(key: str, context: _Context) -> Netlist:
     """Materialize a shipped context inside a worker process."""
     kind = context[0]
     if kind == "pickle":
-        netlist, config, arrays = pickle.loads(context[1])
+        netlist, arrays = pickle.loads(context[1])
         if arrays is not None:
             # Install the shipped CSR view into the unpickled netlist's lazy
             # cache slot so the array kernel never rebuilds it here.
             netlist._arrays = arrays
-        return netlist, config
+        return netlist
     if kind == "shm":
         from repro.io.binfmt import netlist_from_buffer
 
-        _, name, nbytes, config_bytes = context
+        _, name, nbytes = context
         segment = shared_memory.SharedMemory(name=name)
         # The segment may be page-rounded beyond the blob; view exactly it.
         netlist = netlist_from_buffer(
             segment.buf[:nbytes], source=f"shm:{name}", owner=segment
         )
         _WORKER_SEGMENTS[key] = segment
-        return netlist, pickle.loads(config_bytes)
+        return netlist
     if kind == "file":
         from repro.io.binfmt import load_packed
 
-        _, path, fingerprint, config_bytes = context
+        _, path, fingerprint = context
         netlist = load_packed(path)
         loaded = netlist.derived_cache.get(FINGERPRINT_CACHE_KEY)
         if loaded != fingerprint:
@@ -179,7 +240,7 @@ def _install_context(key: str, context: _Context) -> Tuple[Netlist, FinderConfig
                 f"pack file {path} changed under the pool: worker loaded "
                 f"fingerprint {loaded}, parent shipped {fingerprint}"
             )
-        return netlist, config_bytes and pickle.loads(config_bytes)
+        return netlist
     raise ServiceError(f"unknown context transport {kind!r}")
 
 
@@ -209,6 +270,7 @@ def _worker_memory() -> Dict[str, float]:
 
 def _worker_run_batch(
     key: str,
+    config: FinderConfig,
     indexed_jobs: Sequence[_IndexedJob],
     context: Optional[_Context] = None,
     traced: bool = False,
@@ -221,19 +283,18 @@ def _worker_run_batch(
     the parent re-parents the spans under its own ``pool.task`` span and
     merges the metrics.
     """
-    if context is not None:
-        _evict_worker_context(key)  # drop any stale mapping before reinstall
+    if context is not None and key not in _WORKER_CONTEXTS:
+        _evict_worker_context(key)  # drop a stale mapping before install
         _WORKER_CONTEXTS[key] = _install_context(key, context)
-    entry = _WORKER_CONTEXTS.get(key)
-    if entry is None:
+    netlist = _WORKER_CONTEXTS.get(key)
+    if netlist is None:
         return _MISSING_CONTEXT
     # LRU maintenance: dicts iterate in insertion order, so re-inserting the
     # live key and dropping from the front evicts least-recently-used first.
     del _WORKER_CONTEXTS[key]
-    _WORKER_CONTEXTS[key] = entry
+    _WORKER_CONTEXTS[key] = netlist
     while len(_WORKER_CONTEXTS) > _WORKER_CONTEXT_LIMIT:
         _evict_worker_context(next(iter(_WORKER_CONTEXTS)))
-    netlist, config = entry
     if not traced:
         return [
             (index, _process_seed(netlist, config, cell, rng))
@@ -265,29 +326,19 @@ class WorkerPool:
     Args:
         workers: worker process count; ``<= 1`` executes inline (serial,
             deterministic, zero pickling).
-        max_retries: executor restarts tolerated per run before giving up
-            with :class:`ServiceError`.
-        batches_per_worker: seed batches carved per worker per run; larger
-            values smooth load imbalance between easy and hard seeds at the
-            cost of more (cheap) submissions.
     """
 
-    def __init__(
-        self, workers: int, max_retries: int = 2, batches_per_worker: int = 1
-    ) -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ServiceError("WorkerPool workers must be >= 1")
-        if max_retries < 0:
-            raise ServiceError("WorkerPool max_retries must be >= 0")
-        if batches_per_worker < 1:
-            raise ServiceError("WorkerPool batches_per_worker must be >= 1")
         self.workers = workers
-        self.max_retries = max_retries
-        self.batches_per_worker = batches_per_worker
         #: Live ``pool.*`` counters of this instance (see the module doc).
         self.metrics = MetricRegistry()
         self._executor: Optional[concurrent.futures.ProcessPoolExecutor] = None
-        self._shipped_keys: Set[str] = set()
+        # key -> (call, task) that first shipped the key's context to the
+        # current executor; every batch of that task carries the context,
+        # later tasks send bare batches.  Cleared with the executor.
+        self._shipped: Dict[str, Tuple[object, int]] = {}
         # key -> (segment, blob_nbytes).  The parent owns segment lifetime:
         # it unlinks on eviction/shutdown; workers attach by name.  Bounded
         # like the worker memo — an evicted context re-serializes on return.
@@ -296,43 +347,38 @@ class WorkerPool:
     # ------------------------------------------------------------------
     def run_seed_jobs(
         self,
-        netlist: Netlist,
-        config: FinderConfig,
-        jobs: Sequence[Tuple[int, int]],
-        key: Optional[str] = None,
-    ) -> List[_SeedOutcome]:
-        """Run ``(seed_cell, rng_seed)`` jobs; outcomes in job order.
+        tasks: Sequence[SeedTask],
+        on_done: Optional[DoneCallback] = None,
+    ) -> List[List[_SeedOutcome]]:
+        """Run the seed jobs of several detections in one go.
 
-        ``key`` identifies the ``(netlist, config)`` context across calls —
-        callers that already computed a job fingerprint should pass it to
-        skip re-hashing the netlist.
+        Returns one outcome list per task, each in job order.  When
+        ``on_done`` is given, each task's outcomes go to ``on_done(index,
+        outcomes)`` instead — in task order, as soon as that task and every
+        earlier one are complete, while later tasks are still computing —
+        and are not kept: the call returns an empty list and holds only the
+        unfinished tasks' outcomes.
         """
-        jobs = list(jobs)
-        if not jobs:
-            return []
-        if self.workers <= 1 or len(jobs) == 1:
+        results: List[List[_SeedOutcome]] = []
+        deliver = on_done or (lambda index, outcomes: results.append(outcomes))
+        tasks = [(netlist, config, list(jobs)) for netlist, config, jobs in tasks]
+        total = sum(len(jobs) for _, _, jobs in tasks)
+        if self.workers <= 1 or total <= 1:
             trace.count(self.metrics, "pool.serial_runs")
-            with trace.span("pool.serial", jobs=len(jobs)):
-                return _process_batch(netlist, config, jobs)
+            with trace.span("pool.serial", jobs=total):
+                for index, (netlist, config, jobs) in enumerate(tasks):
+                    deliver(index, _process_batch(netlist, config, jobs))
+            return results
 
-        if key is None:
-            key = job_fingerprint(netlist, config)
-        indexed: List[_IndexedJob] = list(enumerate(jobs))
-        num_batches = min(
-            len(indexed), min(self.workers, len(indexed)) * self.batches_per_worker
-        )
-        remaining = [indexed[i::num_batches] for i in range(num_batches)]
-
-        outcomes: List[Optional[_SeedOutcome]] = [None] * len(jobs)
         with trace.span(
-            "pool.run", jobs=len(jobs), workers=self.workers, batches=num_batches
+            "pool.run", tasks=len(tasks), jobs=total, workers=self.workers
         ):
-            self._run_batches(netlist, config, key, remaining, outcomes)
-        return outcomes  # type: ignore[return-value]  # every slot is filled
+            self._run_batches(tasks, deliver)
+        return results
 
     # ------------------------------------------------------------------
     def _prepare_context(
-        self, netlist: Netlist, config: FinderConfig, key: str
+        self, netlist: Netlist, key: str, in_use: Collection[str]
     ) -> Tuple[_Context, int]:
         """Build the transport descriptor for one context shipment.
 
@@ -341,22 +387,19 @@ class WorkerPool:
         payload under pickle transport, just the descriptor under shm/file.
         """
         if transport_mode() == "pickle":
-            return self._pickle_context(netlist, config)
-        config_bytes = pickle.dumps(config)
-        descriptor = self._file_context(netlist, config_bytes)
+            return self._pickle_context(netlist)
+        descriptor = self._file_context(netlist)
         if descriptor is None:
-            descriptor = self._shm_context(netlist, config_bytes, key)
+            descriptor = self._shm_context(netlist, key, in_use)
         if descriptor is None:  # shared memory unavailable: fall back
             trace.count(self.metrics, "pool.transport_fallbacks")
-            return self._pickle_context(netlist, config)
+            return self._pickle_context(netlist)
         shipped = len(pickle.dumps(descriptor))
         trace.count(self.metrics, f"pool.{descriptor[0]}_contexts")
         trace.count(self.metrics, "pool.descriptor_bytes", shipped)
         return descriptor, shipped
 
-    def _pickle_context(
-        self, netlist: Netlist, config: FinderConfig
-    ) -> Tuple[_Context, int]:
+    def _pickle_context(self, netlist: Netlist) -> Tuple[_Context, int]:
         # Ship the parent's (cached) CSR view with the context so no worker
         # rebuilds it; under the scalar reference backend the workers never
         # touch it, and an array-backed netlist already carries its arrays
@@ -366,13 +409,11 @@ class WorkerPool:
             netlist, ArrayBackedNetlist
         ):
             arrays = netlist.arrays
-        payload = pickle.dumps((netlist, config, arrays))
+        payload = pickle.dumps((netlist, arrays))
         trace.count(self.metrics, "pool.pickle_contexts")
         return ("pickle", payload), len(payload)
 
-    def _file_context(
-        self, netlist: Netlist, config_bytes: bytes
-    ) -> Optional[_Context]:
+    def _file_context(self, netlist: Netlist) -> Optional[_Context]:
         """Pack-file descriptor, when the design came from a live pack file."""
         if not isinstance(netlist, ArrayBackedNetlist):
             return None
@@ -389,12 +430,17 @@ class WorkerPool:
                 return None
         except (ParseError, OSError):
             return None
-        return ("file", path, fingerprint, config_bytes)
+        return ("file", path, fingerprint)
 
     def _shm_context(
-        self, netlist: Netlist, config_bytes: bytes, key: str
+        self, netlist: Netlist, key: str, in_use: Collection[str]
     ) -> Optional[_Context]:
-        """Shared-memory descriptor, creating/reusing the segment for ``key``."""
+        """Shared-memory descriptor, creating/reusing the segment for ``key``.
+
+        A new segment evicts the least recently used ones beyond the
+        limit, but never one in ``in_use`` (keys that batches of the
+        current call may still ship).
+        """
         entry = self._segments.get(key)
         if entry is None:
             from repro.io.binfmt import serialize_netlist
@@ -409,14 +455,20 @@ class WorkerPool:
             self._segments[key] = entry
             trace.count(self.metrics, "pool.shm_segments")
             trace.count(self.metrics, "pool.shm_bytes", len(blob))
-            while len(self._segments) > _WORKER_CONTEXT_LIMIT:
-                stale = next(iter(self._segments))
-                self._destroy_segment(*self._segments.pop(stale))
+            self._trim_segments(in_use)
         else:  # LRU touch
             del self._segments[key]
             self._segments[key] = entry
         segment, nbytes = entry
-        return ("shm", segment.name, nbytes, config_bytes)
+        return ("shm", segment.name, nbytes)
+
+    def _trim_segments(self, in_use: Collection[str] = ()) -> None:
+        """Unlink least recently used segments beyond the limit, skipping
+        those in ``in_use``."""
+        idle = [key for key in self._segments if key not in in_use]
+        excess = len(self._segments) - _WORKER_CONTEXT_LIMIT
+        for key in idle[: max(0, excess)]:
+            self._destroy_segment(*self._segments.pop(key))
 
     @staticmethod
     def _destroy_segment(segment: shared_memory.SharedMemory, _nbytes: int) -> None:
@@ -432,91 +484,130 @@ class WorkerPool:
             self._destroy_segment(*entry)
 
     # ------------------------------------------------------------------
-    def _run_batches(
-        self,
-        netlist: Netlist,
-        config: FinderConfig,
-        key: str,
-        remaining: List[List[_IndexedJob]],
-        outcomes: List[Optional[_SeedOutcome]],
-    ) -> None:
-        """Submit/retry the batch lists until every outcome slot is filled."""
+    def _run_batches(self, tasks: Sequence[SeedTask], deliver: DoneCallback) -> None:
+        """Submit/retry every task's batches until every outcome slot is
+        filled, handing finished tasks to ``deliver`` in task order."""
+        call = object()  # identifies this call in self._shipped
+        keys = [context_key(netlist) for netlist, _, _ in tasks]
+        outcomes: List[List[Optional[_SeedOutcome]]] = [
+            [None] * len(jobs) for _, _, jobs in tasks
+        ]
+        unfilled = [len(jobs) for _, _, jobs in tasks]
+        # key -> undelivered tasks over it: their contexts (and shm
+        # segments) must stay shippable.
+        live = Counter(keys)
+        # (task, batch, replay): a replayed batch always carries its context.
+        queue: Deque[Tuple[int, List[_IndexedJob], bool]] = deque()
+        for task, (_, _, jobs) in enumerate(tasks):
+            indexed = list(enumerate(jobs))
+            num_batches = min(len(indexed), self.workers * BATCHES_PER_WORKER)
+            queue.extend(
+                (task, indexed[i::num_batches], False) for i in range(num_batches)
+            )
+        pending: Dict[concurrent.futures.Future, Tuple[int, List[_IndexedJob], float]] = {}
+        contexts: Dict[str, Tuple[_Context, int]] = {}
         traced = trace.enabled()
-        ship_context = key not in self._shipped_keys
         restarts = 0
-        context: Optional[_Context] = None
-        context_bytes = 0
-        while remaining:
-            executor = self._ensure_executor()
-            if ship_context and context is None:
-                # Serialized exactly once per run; the same prepared payload
-                # serves every shipping batch and the byte counters.
-                context, context_bytes = self._prepare_context(
-                    netlist, config, key
-                )
-            shipped = context if ship_context else None
-            futures = {}
-            submitted_at: Dict[Any, float] = {}
-            broken = False
-            retry: List[List[_IndexedJob]] = []
-            for position, chunk in enumerate(remaining):
-                try:
-                    future = executor.submit(
-                        _worker_run_batch, key, chunk, shipped, traced
-                    )
-                except (BrokenProcessPool, RuntimeError):
-                    # The executor died while idle (e.g. a worker was OOM
-                    # killed between runs): replay everything not yet
-                    # submitted on a fresh executor.
-                    broken = True
-                    retry.extend(remaining[position:])
-                    break
-                futures[future] = chunk
-                submitted_at[future] = time.time()
-                trace.count(self.metrics, "pool.batches")
-                if shipped is not None:
-                    trace.count(self.metrics, "pool.context_shipments")
-                    trace.count(self.metrics, "pool.context_bytes", context_bytes)
-            self._shipped_keys.add(key)
-            try:
-                for future, chunk in futures.items():
-                    try:
-                        result = future.result()
-                    except (BrokenProcessPool, OSError):
-                        broken = True
-                        retry.append(chunk)
-                        continue
-                    if result == _MISSING_CONTEXT:
-                        trace.count(self.metrics, "pool.context_misses")
-                        retry.append(chunk)
-                        continue
-                    rows = result
-                    if isinstance(result, dict):  # a traced worker's capture
-                        rows = result["rows"]
-                        self._record_task(result, submitted_at[future], len(chunk))
-                    for index, outcome in rows:
-                        outcomes[index] = outcome
-            except BaseException:
-                # An application error surfaced from a worker: don't leave
-                # this run's other batches computing into a shared pool that
-                # the next job will queue behind.
-                for future in futures:
-                    future.cancel()
-                raise
+        delivered = 0
 
-            if broken:
-                restarts += 1
-                trace.count(self.metrics, "pool.restarts")
-                if restarts > self.max_retries:
-                    raise ServiceError(
-                        f"worker pool crashed {restarts} time(s); giving up "
-                        f"after {self.max_retries} restart(s)"
+        def harvest(done) -> bool:
+            """Record finished futures; requeue crashed/bounced batches.
+            Returns True when the executor broke."""
+            broken = False
+            for future in done:
+                task, chunk, submitted = pending.pop(future)
+                try:
+                    result = future.result()
+                except (BrokenProcessPool, OSError, concurrent.futures.CancelledError):
+                    broken = True
+                    queue.appendleft((task, chunk, True))
+                    continue
+                if result == _MISSING_CONTEXT:
+                    trace.count(self.metrics, "pool.context_misses")
+                    queue.appendleft((task, chunk, True))
+                    continue
+                rows = result
+                if isinstance(result, dict):  # a traced worker's capture
+                    rows = result["rows"]
+                    self._record_task(result, submitted, len(chunk))
+                for index, outcome in rows:
+                    outcomes[task][index] = outcome
+                unfilled[task] -= len(chunk)
+            return broken
+
+        # Liveness is checked only here, while nothing is in flight: a worker
+        # dying mid-call surfaces as BrokenProcessPool on its futures.
+        self._ensure_executor()
+        try:
+            while True:
+                while delivered < len(tasks) and unfilled[delivered] == 0:
+                    deliver(delivered, outcomes[delivered])  # type: ignore[arg-type]
+                    outcomes[delivered] = []  # handed over, not kept
+                    key = keys[delivered]
+                    live[key] -= 1
+                    if not live[key]:
+                        del live[key]
+                        contexts.pop(key, None)
+                    delivered += 1
+                if not queue and not pending:
+                    break
+                executor = self._executor or self._ensure_executor()
+                broken = False
+                while queue and len(pending) < self.workers * IN_FLIGHT_PER_WORKER:
+                    task, chunk, replay = queue.popleft()
+                    netlist, config, _ = tasks[task]
+                    key = keys[task]
+                    owner = self._shipped.setdefault(key, (call, task))
+                    context: Optional[_Context] = None
+                    if replay or owner == (call, task):
+                        if key not in contexts:
+                            # Serialized once per call; the same prepared
+                            # payload serves every shipping batch.
+                            contexts[key] = self._prepare_context(netlist, key, live)
+                        context = contexts[key][0]
+                    try:
+                        future = executor.submit(
+                            _worker_run_batch, key, config, chunk, context, traced
+                        )
+                    except (BrokenProcessPool, RuntimeError):
+                        # The executor died under us (e.g. a worker was OOM
+                        # killed): replay on a fresh one.
+                        queue.appendleft((task, chunk, True))
+                        broken = True
+                        break
+                    pending[future] = (task, chunk, time.time())
+                    trace.count(self.metrics, "pool.batches")
+                    if context is not None:
+                        trace.count(self.metrics, "pool.context_shipments")
+                        trace.count(
+                            self.metrics, "pool.context_bytes", contexts[key][1]
+                        )
+                if pending and not broken:
+                    done, _ = concurrent.futures.wait(
+                        pending, return_when=concurrent.futures.FIRST_COMPLETED
                     )
-                self._restart_executor()
-            # Any retried batch carries the context: it either bounced off an
-            # unprimed worker or is replayed into a fresh executor.
-            ship_context = bool(retry)
-            remaining = retry
+                    broken = harvest(done)
+                if broken:
+                    # A broken executor fails every pending future promptly;
+                    # keep the ones that finished first, replay the rest.
+                    harvest(concurrent.futures.wait(pending)[0])
+                    restarts += 1
+                    trace.count(self.metrics, "pool.restarts")
+                    self._restart_executor()
+                    if restarts > MAX_RETRIES:
+                        raise ServiceError(
+                            f"worker pool crashed {restarts} time(s); giving up "
+                            f"after {MAX_RETRIES} restart(s)"
+                        )
+        except BaseException:
+            # An application error surfaced from a worker (or from deliver):
+            # don't leave this call's other batches computing into a shared
+            # pool that the next call will queue behind.
+            for future in pending:
+                future.cancel()
+            raise
+        finally:
+            self._trim_segments()
 
     def _record_task(
         self, result: Dict[str, Any], submitted: float, num_jobs: int
@@ -551,12 +642,12 @@ class WorkerPool:
     def _workers_dead(self) -> bool:
         """True when the idle executor has lost a worker (or broke).
 
-        A worker OOM-killed *between* jobs leaves the executor poisoned:
+        A worker OOM-killed *between* calls leaves the executor poisoned:
         the next submit would raise ``BrokenProcessPool`` and burn one of
-        the run's retries on a failure that predates it.  Checking process
+        the call's retries on a failure that predates it.  Checking process
         liveness up front lets :meth:`_ensure_executor` rebuild lazily —
-        the next task starts on a healthy pool and retries stay reserved
-        for crashes that happen *during* that task.
+        the next call starts on a healthy pool and retries stay reserved
+        for crashes that happen *during* that call.
         """
         executor = self._executor
         if executor is None:
@@ -576,14 +667,14 @@ class WorkerPool:
             self._executor = concurrent.futures.ProcessPoolExecutor(
                 max_workers=self.workers
             )
-            self._shipped_keys.clear()
+            self._shipped.clear()
         return self._executor
 
     def _restart_executor(self) -> None:
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
             self._executor = None
-        self._shipped_keys.clear()
+        self._shipped.clear()
 
     def shutdown(self) -> None:
         """Stop the worker processes and release shared-memory segments
@@ -592,7 +683,7 @@ class WorkerPool:
         if self._executor is not None:
             self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
-        self._shipped_keys.clear()
+        self._shipped.clear()
         self._release_segments()
 
     def __del__(self) -> None:  # best-effort: don't leak named segments

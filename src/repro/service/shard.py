@@ -1,17 +1,16 @@
 """Shard partitioning of deduplicated sweep plans.
 
-A sharded sweep splits the jobs of one :class:`~repro.service.sweep.SweepPlan`
-into ``N`` :class:`SweepShard`\\ s that execute independently (separate
-processes with separate result stores — see
-:mod:`repro.service.coordinator`).  The partitioner is the layer that
-decides *which* shard owns *which* job, and it must preserve the planner's
-invariants:
+A daemon-dispatched sweep (``repro sweep --via-daemon --shards N``, see
+:mod:`repro.service.coordinator`) splits the jobs of one
+:class:`~repro.service.sweep.SweepPlan` into ``N`` :class:`SweepShard`\\ s,
+each submitted by its own thread under its own job group.  The
+partitioner is the layer that decides *which* shard owns *which* job, and
+it must preserve the planner's invariants:
 
 * **Keyed by fingerprint, stable.**  A job's home shard is derived from its
   content fingerprint (SHA-256, process-restart stable), so the same plan
   partitioned twice — in another process, on another day — lands every job
-  on the same shard.  Re-running a sweep therefore replays each shard
-  against a per-shard store that is already warm with exactly its jobs.
+  on the same shard and in the same job group.
 * **Dedup-preserving.**  The planner collapses identical deterministic grid
   points into one job; every point keeps referencing that single job, which
   lives on exactly one shard.  Sharding never re-executes work the planner

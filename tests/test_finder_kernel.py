@@ -310,11 +310,12 @@ def test_pool_ships_prebuilt_arrays_once(small_planted):
     netlist.arrays  # parent builds the CSR view
     config = FinderConfig(num_seeds=4, seed=11, min_gtl_size=20)
     jobs = [(cell, 1000 + cell) for cell in netlist.movable_cells()[:4]]
-    serial = WorkerPool(1).run_seed_jobs(netlist, config, jobs)
+    task = [(netlist, config, jobs)]
+    serial = WorkerPool(1).run_seed_jobs(task)[0]
     with WorkerPool(2) as pool:
-        parallel_first = pool.run_seed_jobs(netlist, config, jobs, key="k")
+        parallel_first = pool.run_seed_jobs(task)[0]
         shipped = pool.metrics.counter("pool.context_shipments").value
-        parallel_again = pool.run_seed_jobs(netlist, config, jobs, key="k")
+        parallel_again = pool.run_seed_jobs(task)[0]
     assert parallel_first == serial
     assert parallel_again == serial
     assert shipped >= 1

@@ -452,6 +452,51 @@ def test_cli_batch_trace_covers_pool_tasks(tmp_path, small, capsys):
     assert {"cli.batch", "service.job", "pool.task", "finder.seed"} <= names
 
 
+def test_cli_sweep_trace_invariants(tmp_path, small, capsys):
+    """A traced ``sweep --workers 2`` is one tree: every parent resolves,
+    every seed ran under a pool task, and the root's wall time is its
+    children's plus a non-negative self time (no overlapping children)."""
+    from repro.cli import main
+    from repro.io.hgr import write_hgr
+
+    netlist, _ = small
+    write_hgr(netlist, str(tmp_path / "d.hgr"))
+    manifest = tmp_path / "sweep.json"
+    manifest.write_text(json.dumps({
+        "designs": ["d.hgr"],
+        "base": {"num_seeds": 6, "seed": 1},
+        "grid": {"lambda_skip": [0, 10], "min_gtl_size": [20, 30]},
+    }))
+    out_path = str(tmp_path / "t.jsonl")
+    assert main([
+        "sweep", str(manifest), "--quiet", "--workers", "2",
+        "--cache-dir", str(tmp_path / "cache"), "--trace", out_path,
+    ]) == 0
+    capsys.readouterr()
+    spans = RunReport.from_jsonl(out_path).spans
+    by_id = {s["span_id"]: s for s in spans}
+    for span in spans:
+        assert span["parent_id"] is None or span["parent_id"] in by_id
+
+    def ancestors(span):
+        while span["parent_id"] is not None:
+            span = by_id[span["parent_id"]]
+            yield span["name"]
+
+    seeds = [s for s in spans if s["name"] == "finder.seed"]
+    assert len(seeds) == 4 * 6
+    for seed_span in seeds:
+        assert "pool.task" in list(ancestors(seed_span))
+
+    (root,) = [s for s in spans if s["parent_id"] is None]
+    assert root["name"] == "cli.sweep"
+    children = sum(
+        s["duration"] for s in spans if s["parent_id"] == root["span_id"]
+    )
+    assert root["duration"] - children >= -1e-6  # the root's self time
+    assert not any(s["name"] == "sweep.shard" for s in spans)
+
+
 def test_cli_rejects_unknown_log_level(tmp_path, capsys):
     from repro.cli import main
 

@@ -638,9 +638,11 @@ def test_status_group_filter(corpus, daemon_factory):
 
 def test_sharded_sweep_via_daemon_matches_local(corpus, daemon_factory):
     """--via-daemon parity: priority-class-sweep submits, merged back into
-    point order, bit-identical to the local coordinator."""
+    point order, bit-identical to a local sweep on a 2-worker pool."""
     from repro.service.aggregate import point_rows
     from repro.service.coordinator import SweepCoordinator
+    from repro.service.jobs import BatchRunner
+    from repro.service.sweep import run_sweep
 
     daemon, _ = daemon_factory()
     designs = [("a", corpus["a"][1]), ("b", corpus["b"][1])]
@@ -649,14 +651,12 @@ def test_sharded_sweep_via_daemon_matches_local(corpus, daemon_factory):
     grid = {"lambda_skip": [0, 10]}
 
     remote = SweepCoordinator(
-        2, cache_dir=None, use_cache=False,
-        daemon_socket=daemon.config.socket_path, group="parity",
+        2, daemon_socket=daemon.config.socket_path, group="parity",
     ).run(designs, base, grid, design_paths=design_paths)
-    assert remote.mode == "daemon"
+    assert len(remote.shard_stats) == 2 and not remote.failed_shards
     assert all(result.ok for result in remote.job_results)
-    local = SweepCoordinator(2, cache_dir=None, use_cache=False).run(
-        designs, base, grid
-    )
+    with BatchRunner(workers=2, use_cache=False) as runner:
+        local = run_sweep(designs, base, grid, runner)
 
     def rows(outcome):
         out = point_rows(outcome)
@@ -673,15 +673,34 @@ def test_sharded_sweep_via_daemon_matches_local(corpus, daemon_factory):
     assert jobs and all(job["priority"] == "sweep" for job in jobs)
 
 
+def test_cli_sweep_via_daemon_prints_shards_and_aggregate(
+    corpus, daemon_factory, tmp_path, capsys
+):
+    daemon, _ = daemon_factory()
+    manifest = tmp_path / "sweep.json"
+    manifest.write_text(json.dumps({
+        "designs": [corpus["a"][0], corpus["b"][0]],
+        "base": {"num_seeds": 4, "seed": 3},
+        "grid": {"lambda_skip": [0, 10]},
+    }))
+    aggregate = str(tmp_path / "agg.json")
+    assert main(["sweep", str(manifest), "--via-daemon", "--shards", "2",
+                 "--socket", daemon.config.socket_path, "--quiet",
+                 "--aggregate", aggregate]) == 0
+    out = capsys.readouterr().out
+    assert "shard 0:" in out and "via daemon: 2 shard(s)" in out
+    data = json.load(open(aggregate))
+    assert data["mode"] == "daemon" and len(data["shards"]) == 2
+    assert data["failed_points"] == 0
+    assert not (tmp_path / "cache" / "shards").exists()
+
+
 def test_via_daemon_requires_design_paths(corpus, daemon_factory):
     from repro.errors import ServiceError
     from repro.service.coordinator import SweepCoordinator
 
     daemon, _ = daemon_factory()
-    coordinator = SweepCoordinator(
-        2, cache_dir=None, use_cache=False,
-        daemon_socket=daemon.config.socket_path,
-    )
+    coordinator = SweepCoordinator(2, daemon_socket=daemon.config.socket_path)
     with pytest.raises(ServiceError, match="design_paths"):
         coordinator.run(
             [("a", corpus["a"][1])], FinderConfig(num_seeds=4, seed=3),

@@ -191,10 +191,6 @@ def test_pool_serial_path_avoids_processes(small):
 def test_pool_validates_arguments():
     with pytest.raises(ServiceError):
         WorkerPool(0)
-    with pytest.raises(ServiceError):
-        WorkerPool(1, max_retries=-1)
-    with pytest.raises(ServiceError):
-        WorkerPool(1, batches_per_worker=0)
 
 
 # ----------------------------------------------------------------------
@@ -210,6 +206,20 @@ def test_batch_runner_cache_hit_is_bit_identical(tmp_path, small):
     assert cold.cached is False and cold.ok
     assert warm.cached is True and warm.attempts == 0
     assert warm.report == cold.report
+
+
+def test_batch_runner_answers_a_repeated_job_from_the_store(tmp_path, small):
+    netlist, _ = small
+    job = DetectionJob(netlist=netlist, config=CFG, label="j")
+    other = DetectionJob(netlist=netlist, config=CFG.with_overrides(lambda_skip=10))
+    with ResultStore(str(tmp_path)) as store:
+        with BatchRunner(workers=2, store=store) as runner:
+            results = runner.run([job, other, job])
+        counts = counter_values(store.metrics.snapshot())
+    assert [r.cached for r in results] == [False, False, True]
+    assert results[2].report == results[0].report
+    # The repeat waited for its first occurrence: one lookup, one hit.
+    assert (counts["store.misses"], counts["store.hits"], counts["store.puts"]) == (2, 1, 2)
 
 
 def test_batch_runner_no_cache_bypasses_store(tmp_path, small):
@@ -329,18 +339,18 @@ def test_worker_context_memo_is_bounded(small):
     from repro.service import pool as pool_module
 
     netlist, _ = small
-    context = ("pickle", pickle.dumps((netlist, CFG, None)))
+    context = ("pickle", pickle.dumps((netlist, None)))
     pool_module._WORKER_CONTEXTS.clear()
     try:
         for i in range(pool_module._WORKER_CONTEXT_LIMIT + 2):
-            result = pool_module._worker_run_batch(f"k{i}", [], context=context)
+            result = pool_module._worker_run_batch(f"k{i}", CFG, [], context=context)
             assert result == []
         assert len(pool_module._WORKER_CONTEXTS) == pool_module._WORKER_CONTEXT_LIMIT
         # The oldest contexts were evicted; a bare batch for one bounces.
-        assert pool_module._worker_run_batch("k0", []) == "__repro-missing-context__"
+        assert pool_module._worker_run_batch("k0", CFG, []) == "__repro-missing-context__"
         # A retained one still answers without re-shipping.
         last = f"k{pool_module._WORKER_CONTEXT_LIMIT + 1}"
-        assert pool_module._worker_run_batch(last, []) == []
+        assert pool_module._worker_run_batch(last, CFG, []) == []
     finally:
         pool_module._WORKER_CONTEXTS.clear()
 

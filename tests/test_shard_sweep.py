@@ -1,7 +1,6 @@
-"""Sharded sweep execution: partitioner, coordinator, merge, aggregate."""
+"""Sweep plumbing: partitioner, coordinator, store merge, aggregate, CLI."""
 
 import json
-import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,14 +13,9 @@ from repro.io.hgr import write_hgr
 from repro.service.aggregate import (
     AGGREGATE_SCHEMA,
     aggregate_sweep,
-    point_rows,
     write_aggregate,
 )
-from repro.service.coordinator import (
-    SweepCoordinator,
-    _execute_shard,
-    shard_store_path,
-)
+from repro.service.coordinator import SweepCoordinator
 from repro.service.jobs import BatchRunner
 from repro.service.shard import partition_plan, shard_sort_key
 from repro.service.store import (
@@ -157,7 +151,7 @@ def test_property_nondet_points_never_merge_across_shards(grid, num_shards):
 
 
 # ----------------------------------------------------------------------
-# Coordinator: local dispatch
+# Coordinator
 # ----------------------------------------------------------------------
 def _strip_volatile(rows):
     for row in rows:
@@ -168,111 +162,19 @@ def _strip_volatile(rows):
     return rows
 
 
-def test_sharded_sweep_matches_single_process(small, tmp_path):
+def test_more_shards_than_jobs(small):
     netlist, _ = small
-    designs = [("d", netlist)]
-    with ResultStore(str(tmp_path / "single")) as store, BatchRunner(
-        store=store
-    ) as runner:
-        reference = run_sweep(designs, CFG, GRID, runner)
-    coordinator = SweepCoordinator(4, cache_dir=str(tmp_path / "sharded"))
-    outcome = coordinator.run(designs, CFG, GRID)
-    assert outcome.mode == "local"
-    assert all(result.ok for result in outcome.job_results)
-    assert _strip_volatile(point_rows(outcome)) == _strip_volatile(
-        point_rows(reference)
-    )
-
-
-def test_sharded_rerun_is_warm_and_merges_back(small, tmp_path):
-    netlist, _ = small
-    designs = [("d", netlist)]
-    cache = str(tmp_path / "cache")
-    cold = SweepCoordinator(4, cache_dir=cache).run(designs, CFG, GRID)
-    assert cold.cache_hits == 0
-    assert cold.merge_stats is not None
-    assert cold.merge_stats.copied == len(cold.plan.jobs)
-    # Stable sharding: the rerun replays every shard against its own store.
-    warm = SweepCoordinator(4, cache_dir=cache).run(designs, CFG, GRID)
-    assert warm.cache_hits == len(warm.plan.jobs)
-    # The merged main store answers an unsharded sweep warm too.
-    with ResultStore(cache) as store, BatchRunner(store=store) as runner:
-        single = run_sweep(designs, CFG, GRID, runner)
-        assert all(result.cached for result in single.job_results)
-
-
-def test_more_shards_than_jobs(small, tmp_path):
-    netlist, _ = small
-    outcome = SweepCoordinator(6, cache_dir=str(tmp_path / "c")).run(
-        [("d", netlist)], CFG, {"lambda_skip": [0, 10]}
-    )
-    assert all(result.ok for result in outcome.job_results)
-    assert len(outcome.shard_stats) == 6
-    assert not outcome.failed_shards  # empty shards are vacuously ok
+    plan = plan_sweep([("d", netlist)], CFG, {"lambda_skip": [0, 10]})
+    shards = partition_plan(plan, 6)
+    assert len(shards) == 6
+    assert sorted(s.num_jobs for s in shards) == [0, 0, 0, 0, 1, 1]
+    covered = sorted(i for shard in shards for i in shard.job_indices)
+    assert covered == list(range(len(plan.jobs)))
 
 
 def test_coordinator_validates_arguments():
     with pytest.raises(ServiceError):
-        SweepCoordinator(0)
-    with pytest.raises(ServiceError):
-        SweepCoordinator(2, max_shard_attempts=0)
-
-
-# Injected shard runners must be module-level so worker processes can
-# unpickle them by reference.
-def _fail_shard_zero(shard, cache_dir, use_cache, workers, max_attempts):
-    if shard.shard_id == 0:
-        raise RuntimeError("injected shard failure")
-    return _execute_shard(shard, cache_dir, use_cache, workers, max_attempts)
-
-
-def _flaky_first_attempt(shard, cache_dir, use_cache, workers, max_attempts):
-    os.makedirs(cache_dir, exist_ok=True)
-    marker = os.path.join(cache_dir, f"attempted-{shard.shard_id}")
-    if not os.path.exists(marker):
-        with open(marker, "w") as handle:
-            handle.write("1")
-        raise RuntimeError("flaky first attempt")
-    return _execute_shard(shard, cache_dir, use_cache, workers, max_attempts)
-
-
-def test_dead_shard_fails_loudly_without_sinking_the_sweep(small, tmp_path):
-    netlist, _ = small
-    coordinator = SweepCoordinator(
-        2, cache_dir=str(tmp_path / "c"), max_shard_attempts=1
-    )
-    coordinator._shard_runner = _fail_shard_zero
-    outcome = coordinator.run([("d", netlist)], CFG, GRID)
-    dead = outcome.failed_shards
-    assert [stats.shard_id for stats in dead] == [0]
-    assert "injected shard failure" in dead[0].error
-    # Shard 0's points carry an error naming the shard; shard 1's stand.
-    by_shard = {0: [], 1: []}
-    shards = partition_plan(outcome.plan, 2)
-    for shard in shards:
-        for index in shard.job_indices:
-            by_shard[shard.shard_id].append(outcome.job_results[index])
-    assert all(not r.ok and "shard 0" in r.error for r in by_shard[0])
-    assert all(r.ok for r in by_shard[1])
-    assert by_shard[0] and by_shard[1]
-    # The aggregate records the failure.
-    aggregate = aggregate_sweep(outcome)
-    assert aggregate.failed_points == sum(
-        1 for r in outcome.job_results if not r.ok
-    )
-    assert "FAILED" in aggregate.summary()
-
-
-def test_failed_shard_is_retried_and_recovers(small, tmp_path):
-    netlist, _ = small
-    coordinator = SweepCoordinator(
-        2, cache_dir=str(tmp_path / "c"), max_shard_attempts=2
-    )
-    coordinator._shard_runner = _flaky_first_attempt
-    outcome = coordinator.run([("d", netlist)], CFG, GRID)
-    assert all(result.ok for result in outcome.job_results)
-    assert not outcome.failed_shards
-    assert all(stats.attempts == 2 for stats in outcome.shard_stats)
+        SweepCoordinator(0, daemon_socket="unused.sock")
 
 
 # ----------------------------------------------------------------------
@@ -364,9 +266,10 @@ def test_merge_stats_combined():
 # ----------------------------------------------------------------------
 def test_aggregate_per_axis_and_schema(small, tmp_path):
     netlist, _ = small
-    outcome = SweepCoordinator(2, cache_dir=str(tmp_path / "c")).run(
-        [("d", netlist)], CFG, GRID
-    )
+    with ResultStore(str(tmp_path / "c")) as store, BatchRunner(
+        workers=2, store=store
+    ) as runner:
+        outcome = run_sweep([("d", netlist)], CFG, GRID, runner)
     aggregate = aggregate_sweep(outcome)
     assert aggregate.points == 4 and aggregate.jobs == 4
     assert set(aggregate.per_axis) == {"lambda_skip", "min_gtl_size"}
@@ -375,16 +278,13 @@ def test_aggregate_per_axis_and_schema(small, tmp_path):
         for value in values.values():
             assert value["ok"] == value["points"]
             assert value["mean_num_gtls"] > 0
-    assert aggregate.mode == "local"
-    assert len(aggregate.shards) == 2
-    assert aggregate.wall_seconds > 0
 
     path = str(tmp_path / "agg.json")
     write_aggregate(path, aggregate)
     data = json.load(open(path))
-    assert data["schema"] == AGGREGATE_SCHEMA
+    assert data["schema"] == AGGREGATE_SCHEMA == 2
     assert data["cache"] == {"hits": 0, "misses": 4}
-    assert data["merge"]["copied"] == 4
+    assert "merge" not in data
 
 
 def test_aggregate_works_on_plain_outcome(small, tmp_path):
@@ -393,7 +293,7 @@ def test_aggregate_works_on_plain_outcome(small, tmp_path):
         outcome = run_sweep([("d", netlist)], CFG, {"lambda_skip": [0]}, runner)
     aggregate = aggregate_sweep(outcome)
     assert aggregate.mode == "single"
-    assert aggregate.shards == [] and aggregate.merge is None
+    assert aggregate.shards == []
     assert aggregate.points == 1
 
 
@@ -414,38 +314,58 @@ def sweep_manifest(tmp_path):
     return tmp_path, str(manifest)
 
 
-def test_cli_sharded_sweep_parity_and_aggregate(sweep_manifest, capsys):
+def test_cli_sweep_workers_parity_and_aggregate(sweep_manifest, capsys):
     tmp_path, manifest = sweep_manifest
-    single = str(tmp_path / "single.jsonl")
-    sharded = str(tmp_path / "sharded.jsonl")
+    serial = str(tmp_path / "serial.jsonl")
+    parallel = str(tmp_path / "parallel.jsonl")
     aggregate = str(tmp_path / "agg.json")
-    assert main(["sweep", manifest, "--quiet", "--jsonl", single,
+    assert main(["sweep", manifest, "--quiet", "--jsonl", serial,
                  "--cache-dir", str(tmp_path / "c1")]) == 0
-    assert main(["sweep", manifest, "--quiet", "--shards", "4",
-                 "--jsonl", sharded, "--aggregate", aggregate,
+    assert main(["sweep", manifest, "--quiet", "--workers", "4",
+                 "--jsonl", parallel, "--aggregate", aggregate,
                  "--cache-dir", str(tmp_path / "c2")]) == 0
-    out = capsys.readouterr().out
-    assert "shard 0:" in out and "mode: local" in out
-    rows_single = _strip_volatile([json.loads(l) for l in open(single)])
-    rows_sharded = _strip_volatile([json.loads(l) for l in open(sharded)])
-    assert rows_sharded == rows_single
+    capsys.readouterr()
+    rows_serial = _strip_volatile([json.loads(l) for l in open(serial)])
+    rows_parallel = _strip_volatile([json.loads(l) for l in open(parallel)])
+    assert rows_parallel == rows_serial
     data = json.load(open(aggregate))
-    assert data["points"] == 4 and len(data["shards"]) == 4
+    assert data["points"] == 4 and data["failed_points"] == 0
+    assert data["mode"] == "single" and data["shards"] == []
+
+
+def test_cli_sweep_shards_need_via_daemon(sweep_manifest, capsys):
+    tmp_path, manifest = sweep_manifest
+    cache = tmp_path / "c"
+    assert main(["sweep", manifest, "--quiet", "--shards", "2",
+                 "--cache-dir", str(cache)]) == 2
+    err = capsys.readouterr().err
+    assert "--via-daemon" in err and "--workers" in err
+    assert not cache.exists()  # rejected before anything ran
 
 
 def test_cli_store_merge(sweep_manifest, capsys):
     tmp_path, manifest = sweep_manifest
-    cache = str(tmp_path / "c")
-    assert main(["sweep", manifest, "--quiet", "--shards", "2",
-                 "--cache-dir", cache]) == 0
+    data = json.loads(open(manifest).read())
+    # Two plain sweeps over disjoint halves of the grid, two cache dirs.
+    sources = []
+    for half, values in enumerate(([0], [10])):
+        part = tmp_path / f"half{half}.json"
+        part.write_text(json.dumps(
+            {**data, "grid": {**data["grid"], "lambda_skip": values}}
+        ))
+        sources.append(str(tmp_path / f"cache{half}"))
+        assert main(["sweep", str(part), "--quiet",
+                     "--cache-dir", sources[-1]]) == 0
     capsys.readouterr()
     dest = str(tmp_path / "merged")
-    sources = [shard_store_path(cache, shard_id) for shard_id in (0, 1)]
     assert main(["store", "merge", dest] + sources) == 0
     out = capsys.readouterr().out
     assert "0 -> 4 entr(ies)" in out
     with ResultStore(dest) as store:
         assert len(store) == 4
+    # The merged store answers the whole sweep warm.
+    assert main(["sweep", manifest, "--quiet", "--cache-dir", dest]) == 0
+    assert "4 cache hit(s)" in capsys.readouterr().out
 
 
 def test_cli_sweep_unknown_axis_lists_fields(sweep_manifest, capsys):

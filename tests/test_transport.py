@@ -21,6 +21,8 @@ from repro.io.hgr import write_hgr
 from repro.obs import trace
 from repro.obs.metrics import counter_values
 from repro.obs.report import RunReport
+from repro.service import pool as pool_module
+from repro.service.jobs import BatchRunner, DetectionJob
 from repro.service.pool import (
     _MISSING_CONTEXT,
     _WORKER_CONTEXTS,
@@ -128,17 +130,16 @@ def test_file_transport_requires_live_matching_file(design, tmp_path):
     write_packed(design, path)
     packed = load_packed(path)
     pool = WorkerPool(2)
-    config_bytes = b""
-    assert pool._file_context(packed, config_bytes) is not None
+    assert pool._file_context(packed) is not None
     # Replace the file with a different design: fingerprint mismatch.
     other, _ = planted_gtl_graph(120, [30], seed=1)
     write_packed(other, str(tmp_path / "other.nla"))
     os.replace(str(tmp_path / "other.nla"), path)
-    assert pool._file_context(packed, config_bytes) is None
+    assert pool._file_context(packed) is None
     os.remove(path)
-    assert pool._file_context(packed, config_bytes) is None
+    assert pool._file_context(packed) is None
     # Eager (parsed) netlists never qualify.
-    assert pool._file_context(design, config_bytes) is None
+    assert pool._file_context(design) is None
     pool.shutdown()
 
 
@@ -179,18 +180,16 @@ def test_worker_installs_and_evicts_shm_descriptors(design):
         segment.buf[: len(blob)] = blob
         import pickle
 
-        descriptor = ("shm", segment.name, len(blob), pickle.dumps(CFG))
-        assert _worker_run_batch("key-shm", [], context=None) == _MISSING_CONTEXT
-        assert _worker_run_batch("key-shm", [], context=descriptor) == []
-        netlist, config = _WORKER_CONTEXTS["key-shm"]
-        assert netlist == design
-        assert config == CFG
+        descriptor = ("shm", segment.name, len(blob))
+        assert _worker_run_batch("key-shm", CFG, [], context=None) == _MISSING_CONTEXT
+        assert _worker_run_batch("key-shm", CFG, [], context=descriptor) == []
+        assert _WORKER_CONTEXTS["key-shm"] == design
         assert "key-shm" in _WORKER_SEGMENTS
         # Flood the memo: the shm-backed context must be evicted and its
         # mapping closed without errors.
-        bump = ("pickle", pickle.dumps((design, CFG, None)))
+        bump = ("pickle", pickle.dumps((design, None)))
         for index in range(8):
-            _worker_run_batch(f"bump{index}", [], context=bump)
+            _worker_run_batch(f"bump{index}", CFG, [], context=bump)
         assert "key-shm" not in _WORKER_CONTEXTS
         assert "key-shm" not in _WORKER_SEGMENTS
     finally:
@@ -292,3 +291,110 @@ def test_pool_workers_dead_is_false_for_healthy_pool(design):
         TangledLogicFinder(design, CFG2).run(pool=pool)
         assert pool._workers_dead() is False  # live workers
     assert pool._workers_dead() is False  # shut down: nothing to respawn
+
+
+# ----------------------------------------------------------------------
+# Crashes during a task: restart, replay, and a job that fails alone
+# ----------------------------------------------------------------------
+def _seed_runner_exiting_once(marker):
+    """A ``_process_seed`` whose first call (across all workers) kills its
+    worker process; every later call is the real one."""
+    real = pool_module._process_seed
+
+    def process_seed(netlist, config, seed_cell, rng_seed):
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            return real(netlist, config, seed_cell, rng_seed)
+        os._exit(1)
+
+    return process_seed
+
+
+def test_pool_replays_batches_after_in_task_worker_crash(
+    design, serial_report, tmp_path, monkeypatch
+):
+    # Patched before the executor forks, so the workers inherit it.
+    monkeypatch.setattr(
+        pool_module, "_process_seed",
+        _seed_runner_exiting_once(str(tmp_path / "crashed")),
+    )
+    with WorkerPool(2) as pool:
+        report = TangledLogicFinder(design, CFG2).run(pool=pool)
+        counts = counter_values(pool.metrics.snapshot())
+    assert (tmp_path / "crashed").exists()
+    assert _same_report(report, serial_report)
+    assert counts["pool.restarts"] == 1
+    assert counts.get("pool.respawns", 0) == 0
+
+
+def test_batch_runner_isolates_a_job_that_keeps_killing_its_worker(
+    design, monkeypatch
+):
+    real = pool_module._process_seed
+
+    def process_seed(netlist, config, seed_cell, rng_seed):
+        if config.lambda_skip == 7:  # the poisoned job
+            os._exit(1)
+        return real(netlist, config, seed_cell, rng_seed)
+
+    monkeypatch.setattr(pool_module, "_process_seed", process_seed)
+    jobs = [
+        DetectionJob(design, CFG.with_overrides(lambda_skip=skip), label=str(skip))
+        for skip in (0, 7, 10)
+    ]
+    with BatchRunner(workers=2) as runner:
+        results = runner.run(jobs)
+    poisoned = results[1]
+    assert not poisoned.ok and "crashed" in poisoned.error
+    for result in (results[0], results[2]):
+        assert result.ok
+        assert _same_report(result.report, find_tangled_logic(design, result.job.config))
+
+
+# ----------------------------------------------------------------------
+# More designs than the segment LRU holds
+# ----------------------------------------------------------------------
+@requires_shared_transport
+def test_segments_in_use_survive_the_lru(design):
+    designs = [planted_gtl_graph(200 + 10 * i, [30], seed=i)[0] for i in range(6)]
+    keys = [pool_module.context_key(netlist) for netlist in designs]
+    with WorkerPool(2) as pool:
+        for netlist, key in zip(designs, keys):
+            assert pool._shm_context(netlist, key, in_use=keys) is not None
+        assert list(pool._segments) == keys  # none unlinked while in use
+        pool._trim_segments(in_use=keys[-1:])
+        assert list(pool._segments) == keys[2:]  # LRU order, live key kept
+
+
+def test_sweep_over_more_designs_than_segment_slots_matches_serial(tmp_path, capsys):
+    import json
+
+    names = []
+    for index in range(pool_module._WORKER_CONTEXT_LIMIT + 2):
+        netlist, _ = planted_gtl_graph(300 + 20 * index, [40], seed=index)
+        names.append(f"d{index}.hgr")
+        write_hgr(netlist, str(tmp_path / names[-1]))
+    manifest = tmp_path / "sweep.json"
+    manifest.write_text(json.dumps({
+        "designs": names,
+        "base": {"num_seeds": 4, "seed": 3},
+        "grid": {"lambda_skip": [0, 10]},
+    }))
+
+    def rows(workers):
+        path = str(tmp_path / f"w{workers}.jsonl")
+        assert main(["sweep", str(manifest), "--quiet", "--no-cache",
+                     "--workers", str(workers), "--jsonl", path]) == 0
+        out = []
+        for line in open(path):
+            row = json.loads(line)
+            row.pop("runtime_seconds")
+            row["report"].pop("runtime_seconds")
+            out.append(row)
+        return out
+
+    serial = rows(1)
+    assert len(serial) == 2 * len(names)
+    assert rows(2) == serial
+    capsys.readouterr()
